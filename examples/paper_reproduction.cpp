@@ -17,6 +17,8 @@
 // --max-rss-mb <mb>   exit 3 if peak RSS exceeded <mb> at the end of the
 //                     run — the paper-scale CI job's memory-budget gate
 //                     over the streaming pipeline
+//
+// CS_SEED picks the world seed (default 2013), as it does for the benches.
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -75,6 +77,14 @@ int main(int argc, char** argv) {
   config.world.domain_count =
       positional.size() > 1 ? std::strtoull(positional[1].c_str(), nullptr, 10)
                             : 1500;
+  if (const auto seed = util::env_text(util::Knob::kSeed)) {
+    if (const auto parsed = util::parse_env_unsigned(*seed))
+      config.world.seed = *parsed;
+    else
+      std::cerr << util::env_malformed(util::Knob::kSeed, *seed,
+                                       "an unsigned integer")
+                << "\n";
+  }
   config.checkpoint_dir = checkpoint_dir;
   if (resume && checkpoint_dir.empty() &&
       !util::env_text("CS_CHECKPOINT")) {

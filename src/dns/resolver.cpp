@@ -29,15 +29,18 @@ Resolver::Resolver(const Resolver& other)
     : transport_(other.transport_),
       options_(other.options_),
       cache_(other.cache_),
+      cuts_(other.cuts_),
       now_(other.now_),
       next_id_(other.next_id_),
       cache_hits_(other.cache_hits_),
+      cut_hits_(other.cut_hits_),
       upstream_queries_(other.upstream_queries_),
       timeouts_(other.timeouts_),
       retries_(other.retries_),
       // The copy keeps the tallies for its accessors but must not flush
       // history the source will already report.
       reported_cache_hits_(other.cache_hits_),
+      reported_cut_hits_(other.cut_hits_),
       reported_upstream_queries_(other.upstream_queries_),
       reported_timeouts_(other.timeouts_),
       reported_retries_(other.retries_) {}
@@ -46,18 +49,22 @@ Resolver::Resolver(Resolver&& other) noexcept
     : transport_(other.transport_),
       options_(std::move(other.options_)),
       cache_(std::move(other.cache_)),
+      cuts_(std::move(other.cuts_)),
       now_(other.now_),
       next_id_(other.next_id_),
       cache_hits_(other.cache_hits_),
+      cut_hits_(other.cut_hits_),
       upstream_queries_(other.upstream_queries_),
       timeouts_(other.timeouts_),
       retries_(other.retries_),
       reported_cache_hits_(other.reported_cache_hits_),
+      reported_cut_hits_(other.reported_cut_hits_),
       reported_upstream_queries_(other.reported_upstream_queries_),
       reported_timeouts_(other.reported_timeouts_),
       reported_retries_(other.reported_retries_) {
   // The unflushed delta now belongs to the destination.
   other.reported_cache_hits_ = other.cache_hits_;
+  other.reported_cut_hits_ = other.cut_hits_;
   other.reported_upstream_queries_ = other.upstream_queries_;
   other.reported_timeouts_ = other.timeouts_;
   other.reported_retries_ = other.retries_;
@@ -69,18 +76,22 @@ void Resolver::flush_metrics() {
   static auto& upstream_metric =
       obs::counter("dns.resolver.upstream_queries");
   static auto& cache_hit_metric = obs::counter("dns.resolver.cache_hits");
+  static auto& cut_hit_metric = obs::counter("dns.resolver.cut_hits");
   static auto& retry_metric = obs::counter("dns.resolver.retries");
   static auto& timeout_metric = obs::counter("dns.resolver.timeouts");
   if (upstream_queries_ > reported_upstream_queries_)
     upstream_metric.inc(upstream_queries_ - reported_upstream_queries_);
   if (cache_hits_ > reported_cache_hits_)
     cache_hit_metric.inc(cache_hits_ - reported_cache_hits_);
+  if (cut_hits_ > reported_cut_hits_)
+    cut_hit_metric.inc(cut_hits_ - reported_cut_hits_);
   if (retries_ > reported_retries_)
     retry_metric.inc(retries_ - reported_retries_);
   if (timeouts_ > reported_timeouts_)
     timeout_metric.inc(timeouts_ - reported_timeouts_);
   reported_upstream_queries_ = upstream_queries_;
   reported_cache_hits_ = cache_hits_;
+  reported_cut_hits_ = cut_hits_;
   reported_retries_ = retries_;
   reported_timeouts_ = timeouts_;
 }
@@ -133,6 +144,36 @@ const Resolver::CacheEntry* Resolver::cache_get(const Name& name,
   return &it->second;
 }
 
+void Resolver::cache_cut(const Message& referral, const Name& name, Name& cut,
+                         const std::vector<net::Ipv4>& servers) {
+  if (!options_.use_cache || servers.empty()) return;
+  const Name* owner = nullptr;
+  std::uint32_t ttl = 300;
+  for (const auto& rr : referral.authority) {
+    if (rr.type() != RrType::kNs) continue;
+    if (owner && rr.name != *owner) return;  // not one cut: don't guess
+    owner = &rr.name;
+    ttl = std::min(ttl, rr.ttl);
+  }
+  // `cut` is always an ancestor of `name`, so an owner that is one too is
+  // strictly below `cut` exactly when it has more labels.
+  if (!owner || !name.is_subdomain_of(*owner) ||
+      owner->label_count() <= cut.label_count())
+    return;
+  cut = *owner;
+  cuts_[cut] = CutEntry{servers, now_ + ttl};
+}
+
+const std::pair<const Name, Resolver::CutEntry>* Resolver::deepest_cut(
+    const Name& name) const {
+  if (!options_.use_cache || cuts_.empty()) return nullptr;
+  for (Name n = name; !n.is_root(); n = n.parent()) {
+    const auto it = cuts_.find(n);
+    if (it != cuts_.end() && it->second.expires_at > now_) return &*it;
+  }
+  return nullptr;
+}
+
 std::vector<net::Ipv4> Resolver::referral_addresses(const Message& response,
                                                     int depth) {
   std::vector<Name> ns_names;
@@ -176,7 +217,14 @@ Rcode Resolver::resolve_step(const Name& name, RrType type,
     return cached->rcode;
   }
 
+  // Start at the deepest cached cut above `name`, else at the roots.
+  Name cut;
   std::vector<net::Ipv4> servers = options_.root_servers;
+  if (const auto* known = deepest_cut(name)) {
+    cut = known->first;
+    servers = known->second.servers;
+    ++cut_hits_;
+  }
   std::vector<ResourceRecord> collected;
 
   // Failure at any delegation step is a dead delegation: negatively cache
@@ -245,6 +293,7 @@ Rcode Resolver::resolve_step(const Name& name, RrType type,
 
     // Referral: descend.
     servers = referral_addresses(*response, depth);
+    cache_cut(*response, name, cut, servers);
   }
   return Rcode::kServFail;
 }
@@ -270,13 +319,18 @@ std::optional<std::vector<ResourceRecord>> Resolver::try_axfr(
   return std::nullopt;
 }
 
-void Resolver::flush_cache() { cache_.clear(); }
+void Resolver::flush_cache() {
+  cache_.clear();
+  cuts_.clear();
+}
 
 void Resolver::advance_time(std::uint32_t seconds) {
   now_ += seconds;
-  std::erase_if(cache_, [this](const auto& kv) {
+  const auto expired = [this](const auto& kv) {
     return kv.second.expires_at <= now_;
-  });
+  };
+  std::erase_if(cache_, expired);
+  std::erase_if(cuts_, expired);
 }
 
 }  // namespace cs::dns

@@ -15,9 +15,13 @@
 /// Resolution starts from root hints and follows referrals down the
 /// delegation tree, resolving out-of-bailiwick name servers as needed,
 /// chasing CNAME chains across zones, and caching by TTL against a
-/// simulated clock. The cache can be flushed and recursion-desired can be
-/// cleared, mirroring the paper's `norecurse` + cache-reset methodology
-/// for locating authoritative name servers.
+/// simulated clock. Besides answers, the cache keeps the zone cuts that
+/// referrals taught it, so a later walk starts at the deepest known cut
+/// above the query name instead of at the roots — the caching recursive
+/// resolver the paper's dnsmap runs sat behind. The cache can be flushed
+/// and recursion-desired can be cleared, mirroring the paper's
+/// `norecurse` + cache-reset methodology for locating authoritative name
+/// servers.
 namespace cs::dns {
 
 /// Outcome of one resolution.
@@ -90,13 +94,17 @@ class Resolver {
     options_.client_address = address;
   }
 
-  /// Drops all cached entries (the paper flushed caches between NS probes).
+  /// Drops all cached answers and zone cuts (the paper flushed caches
+  /// between NS probes), so the next walk starts at the roots.
   void flush_cache();
 
-  /// Advances the simulated clock, expiring cache entries whose TTL passed.
+  /// Advances the simulated clock, expiring cached answers and zone cuts
+  /// whose TTL passed.
   void advance_time(std::uint32_t seconds);
 
   std::uint64_t cache_hits() const noexcept { return cache_hits_; }
+  /// Walks that began at a cached zone cut rather than at the roots.
+  std::uint64_t cut_hits() const noexcept { return cut_hits_; }
   std::uint64_t upstream_queries() const noexcept {
     return upstream_queries_;
   }
@@ -119,6 +127,12 @@ class Resolver {
     Rcode rcode = Rcode::kNoError;
     std::uint64_t expires_at = 0;
   };
+  /// A delegation learned from a referral: the servers for the zone whose
+  /// apex is the map key.
+  struct CutEntry {
+    std::vector<net::Ipv4> servers;
+    std::uint64_t expires_at = 0;
+  };
 
   /// One full iterative walk for (name, type); appends to `chain`.
   Rcode resolve_step(const Name& name, RrType type,
@@ -139,17 +153,30 @@ class Resolver {
                  std::optional<std::uint32_t> ttl_override = std::nullopt);
   const CacheEntry* cache_get(const Name& name, RrType type);
 
+  /// Caches the cut a referral for `name` announces when it lies strictly
+  /// below `cut` on the path to `name`, and moves `cut` down to it.
+  /// Upward and sideways referrals are followed but never cached. The TTL
+  /// is the minimum NS TTL, capped at 300 s.
+  void cache_cut(const Message& referral, const Name& name, Name& cut,
+                 const std::vector<net::Ipv4>& servers);
+  /// Deepest unexpired cached cut at or above `name`; nullptr when the
+  /// walk must start at the roots.
+  const std::pair<const Name, CutEntry>* deepest_cut(const Name& name) const;
+
   DnsTransport& transport_;
   Options options_;
   std::map<CacheKey, CacheEntry> cache_;
+  std::map<Name, CutEntry> cuts_;
   std::uint64_t now_ = 0;
   std::uint16_t next_id_ = 1;
   std::uint64_t cache_hits_ = 0;
+  std::uint64_t cut_hits_ = 0;
   std::uint64_t upstream_queries_ = 0;
   std::uint64_t timeouts_ = 0;
   std::uint64_t retries_ = 0;
   /// Watermarks: the portion of each tally already flushed to obs.
   std::uint64_t reported_cache_hits_ = 0;
+  std::uint64_t reported_cut_hits_ = 0;
   std::uint64_t reported_upstream_queries_ = 0;
   std::uint64_t reported_timeouts_ = 0;
   std::uint64_t reported_retries_ = 0;

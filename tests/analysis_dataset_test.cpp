@@ -273,5 +273,36 @@ TEST_F(DatasetTest, KeepRecordsFalseDropsOnlyRecords) {
   expect_same_dataset(trimmed, *dataset_, /*compare_records=*/false);
 }
 
+// The resolver's zone-cut cache may change what a probe costs, never what
+// it answers: a resolver that keeps its cuts across a whole sweep must
+// return exactly what one flushed before every lookup returns.
+TEST(CutCacheDifferential, WarmCutsChangeCostNotAnswers) {
+  const net::Ipv4 client{199, 16, 0, 10};
+  for (const std::uint64_t seed : {2013u, 5077u}) {
+    const synth::World world{{.seed = seed, .domain_count = 120}};
+    std::vector<dns::Name> names;
+    for (std::size_t d = 0; d < world.domains().size(); d += 10)
+      for (const auto& word : dns::default_wordlist())
+        if (const auto candidate = world.domains()[d].name.child(word))
+          names.push_back(*candidate);
+    for (const auto& domain : world.domains())
+      for (const auto& sub : domain.subdomains) names.push_back(sub.name);
+
+    auto warm = world.make_resolver(client);
+    auto cold = world.make_resolver(client);
+    for (const auto& name : names) {
+      cold.flush_cache();
+      const auto expected = cold.resolve(name, dns::RrType::kA);
+      const auto got = warm.resolve(name, dns::RrType::kA);
+      ASSERT_EQ(got.rcode, expected.rcode)
+          << "seed " << seed << ": " << name.to_string();
+      ASSERT_EQ(got.records, expected.records)
+          << "seed " << seed << ": " << name.to_string();
+    }
+    EXPECT_GT(warm.cut_hits(), names.size() / 2);
+    EXPECT_LT(warm.upstream_queries(), cold.upstream_queries() / 2);
+  }
+}
+
 }  // namespace
 }  // namespace cs::analysis

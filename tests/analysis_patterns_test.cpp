@@ -11,7 +11,9 @@ class PatternsTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     synth::WorldConfig config;
-    config.domain_count = 250;
+    // 400 domains is the smallest default-seed universe with discoverable
+    // Heroku (no-ELB) tenants; HerokuFleetSmall asserts they are there.
+    config.domain_count = 400;
     world_ = new synth::World{config};
     DatasetBuilder builder{*world_, {.lookup_vantages = 3}};
     dataset_ = new AlexaDataset{builder.build()};
@@ -105,8 +107,12 @@ TEST_F(PatternsTest, ElbInstancesSharedAcrossSubdomains) {
 }
 
 TEST_F(PatternsTest, HerokuFleetSmall) {
-  if (report_->ec2_heroku_no_elb.subdomains == 0)
-    GTEST_SKIP() << "no heroku users in this sample";
+  std::size_t tenants = 0;
+  for (const auto& obs : dataset_->cloud_subdomains)
+    if (const auto* truth = world_->subdomain_truth(obs.name))
+      tenants += truth->front_end == synth::FrontEnd::kHeroku;
+  ASSERT_GT(tenants, 0u) << "fixture world lost its Heroku tenants";
+  EXPECT_EQ(report_->ec2_heroku_no_elb.subdomains, tenants);
   // The Heroku fleet multiplexes subdomains over few IPs (paper: 58K / 94).
   EXPECT_LE(report_->ec2_heroku_no_elb.instances,
             cloud::HerokuManager::kFleetSize);

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <memory>
+
+#include "obs/metrics.h"
 
 namespace cs::dns {
 namespace {
@@ -39,6 +43,12 @@ class ResolverFixture : public ::testing::Test {
                                     Name::must_parse("ns1.example.com")));
     com_zone.add(ResourceRecord::a(Name::must_parse("ns1.example.com"),
                                    net::Ipv4(192, 0, 2, 53)));
+    // A delegation to a server that is not on the simulated network;
+    // CraftedTransport answers for it with hand-built referrals.
+    com_zone.add(ResourceRecord::ns(Name::must_parse("lame.com"),
+                                    Name::must_parse("ns.lame.com")));
+    com_zone.add(ResourceRecord::a(Name::must_parse("ns.lame.com"),
+                                   kLameServer));
     // A glueless delegation: gluless.com's NS lives under net.
     com_zone.add(ResourceRecord::ns(Name::must_parse("glueless.com"),
                                     Name::must_parse("ns.hosting.net")));
@@ -107,8 +117,43 @@ class ResolverFixture : public ::testing::Test {
     return o;
   }
 
+  static constexpr net::Ipv4 kLameServer{192, 0, 2, 60};
+
   SimulatedDnsNetwork network;
 };
+
+/// Forwards to the simulated network, except that queries to chosen
+/// servers are answered by a hand-written function instead.
+class CraftedTransport final : public DnsTransport {
+ public:
+  using Answer = std::function<Message(const Message& query)>;
+
+  CraftedTransport(DnsTransport& inner, std::map<std::uint32_t, Answer> crafted)
+      : inner_(inner), crafted_(std::move(crafted)) {}
+
+  std::optional<std::vector<std::uint8_t>> exchange(
+      net::Ipv4 client, net::Ipv4 server,
+      std::span<const std::uint8_t> query) override {
+    const auto it = crafted_.find(server.value());
+    if (it == crafted_.end()) return inner_.exchange(client, server, query);
+    return it->second(*Message::decode(query)).encode();
+  }
+
+ private:
+  DnsTransport& inner_;
+  std::map<std::uint32_t, Answer> crafted_;
+};
+
+/// A referral to `owner`, served by one name server at `glue`.
+Message referral(const Message& query, std::string_view owner,
+                 net::Ipv4 glue) {
+  Message response = Message::response_to(query, Rcode::kNoError, false);
+  const auto ns_name = Name::must_parse("ns.elsewhere.org");
+  response.authority.push_back(
+      ResourceRecord::ns(Name::must_parse(owner), ns_name));
+  response.additional.push_back(ResourceRecord::a(ns_name, glue));
+  return response;
+}
 
 TEST_F(ResolverFixture, ResolvesThroughDelegation) {
   Resolver resolver{network, options()};
@@ -291,6 +336,135 @@ TEST_F(ResolverFixture, NsLookupReturnsNameServers) {
     if (const auto* ns = std::get_if<NsRecord>(&rr.data))
       found |= ns->nameserver.to_string() == "ns1.example.com";
   EXPECT_TRUE(found);
+}
+
+// ---- zone-cut cache -------------------------------------------------------
+
+// A cold NXDOMAIN probe walks root -> com -> example.com: 3 exchanges.
+constexpr std::uint64_t kColdProbeQueries = 3;
+
+TEST_F(ResolverFixture, CachedCutMakesNextProbeOneQuery) {
+  Resolver resolver{network, options()};
+  EXPECT_EQ(resolver.resolve(Name::must_parse("nosuch1.example.com"),
+                             RrType::kA)
+                .rcode,
+            Rcode::kNxDomain);
+  EXPECT_EQ(resolver.upstream_queries(), kColdProbeQueries);
+  EXPECT_EQ(resolver.cut_hits(), 0u);
+  EXPECT_EQ(resolver.resolve(Name::must_parse("nosuch2.example.com"),
+                             RrType::kA)
+                .rcode,
+            Rcode::kNxDomain);
+  EXPECT_EQ(resolver.upstream_queries(), kColdProbeQueries + 1);
+  EXPECT_EQ(resolver.cut_hits(), 1u);
+}
+
+TEST_F(ResolverFixture, FlushCacheDropsCuts) {
+  Resolver resolver{network, options()};
+  resolver.resolve(Name::must_parse("nosuch1.example.com"), RrType::kA);
+  resolver.flush_cache();
+  resolver.resolve(Name::must_parse("nosuch2.example.com"), RrType::kA);
+  EXPECT_EQ(resolver.upstream_queries(), 2 * kColdProbeQueries);
+  EXPECT_EQ(resolver.cut_hits(), 0u);
+}
+
+TEST_F(ResolverFixture, CutExpiresWithNsTtl) {
+  Resolver resolver{network, options()};
+  resolver.resolve(Name::must_parse("nosuch1.example.com"), RrType::kA);
+  // NS TTLs are 3600 s, capped at 300 s like answers: still warm at 299.
+  resolver.advance_time(299);
+  resolver.resolve(Name::must_parse("nosuch2.example.com"), RrType::kA);
+  EXPECT_EQ(resolver.upstream_queries(), kColdProbeQueries + 1);
+  resolver.advance_time(1);
+  resolver.resolve(Name::must_parse("nosuch3.example.com"), RrType::kA);
+  EXPECT_EQ(resolver.upstream_queries(), 2 * kColdProbeQueries + 1);
+  EXPECT_EQ(resolver.cut_hits(), 1u);
+}
+
+TEST_F(ResolverFixture, SidewaysReferralNotCached) {
+  // lame.com's server refers x.lame.com to elsewhere.net — not an ancestor
+  // of the query name — pointing at example.com's server, which refuses.
+  CraftedTransport transport{
+      network,
+      {{kLameServer.value(), [](const Message& query) {
+          return referral(query, "elsewhere.net", net::Ipv4(192, 0, 2, 53));
+        }}}};
+  Resolver resolver{transport, options()};
+  EXPECT_EQ(resolver.resolve(Name::must_parse("x.lame.com"), RrType::kA).rcode,
+            Rcode::kRefused);
+  // Had elsewhere.net been cached, this would go straight to the refusing
+  // server; instead it walks root -> net, which has no such name.
+  const auto before = resolver.upstream_queries();
+  EXPECT_EQ(
+      resolver.resolve(Name::must_parse("y.elsewhere.net"), RrType::kA).rcode,
+      Rcode::kNxDomain);
+  EXPECT_EQ(resolver.upstream_queries(), before + 2);
+}
+
+TEST_F(ResolverFixture, UpwardReferralNotCached) {
+  // lame.com's server refers x.lame.com back up to com, pointing at
+  // other.net's server, which refuses.
+  CraftedTransport transport{
+      network,
+      {{kLameServer.value(), [](const Message& query) {
+          return referral(query, "com", net::Ipv4(192, 0, 2, 54));
+        }}}};
+  Resolver resolver{transport, options()};
+  EXPECT_EQ(resolver.resolve(Name::must_parse("x.lame.com"), RrType::kA).rcode,
+            Rcode::kRefused);
+  // The com cut learned from the root still holds: had the upward
+  // referral replaced it, this would ask the refusing server.
+  const auto before = resolver.upstream_queries();
+  EXPECT_TRUE(
+      resolver.resolve(Name::must_parse("www.example.com"), RrType::kA).ok());
+  EXPECT_EQ(resolver.upstream_queries(), before + 2);
+}
+
+TEST_F(ResolverFixture, CachedCutWithDeadServersServFails) {
+  Resolver resolver{network, options()};
+  resolver.resolve(Name::must_parse("nosuch1.example.com"), RrType::kA);
+  network.set_down(net::Ipv4(192, 0, 2, 53), true);
+  const auto name = Name::must_parse("nosuch2.example.com");
+  EXPECT_EQ(resolver.resolve(name, RrType::kA).rcode, Rcode::kServFail);
+  // One attempt against the cut's only server, no fallback to the roots.
+  EXPECT_EQ(resolver.upstream_queries(), kColdProbeQueries + 1);
+  EXPECT_EQ(resolver.timeouts(), 1u);
+  // The SERVFAIL is negatively cached as for any dead delegation.
+  EXPECT_EQ(resolver.resolve(name, RrType::kA).rcode, Rcode::kServFail);
+  EXPECT_EQ(resolver.upstream_queries(), kColdProbeQueries + 1);
+}
+
+TEST_F(ResolverFixture, CopyKeepsCuts) {
+  Resolver resolver{network, options()};
+  resolver.resolve(Name::must_parse("nosuch1.example.com"), RrType::kA);
+  Resolver copy{resolver};
+  copy.resolve(Name::must_parse("nosuch2.example.com"), RrType::kA);
+  EXPECT_EQ(copy.upstream_queries(), kColdProbeQueries + 1);
+  EXPECT_EQ(copy.cut_hits(), 1u);
+}
+
+TEST_F(ResolverFixture, MovedFromResolverFlushesNoCutHits) {
+  auto& metric = obs::counter("dns.resolver.cut_hits");
+  Resolver source{network, options()};
+  source.resolve(Name::must_parse("nosuch1.example.com"), RrType::kA);
+  source.resolve(Name::must_parse("nosuch2.example.com"), RrType::kA);
+  const auto before = metric.value();
+  Resolver moved{std::move(source)};
+  source.flush_metrics();
+  EXPECT_EQ(metric.value(), before);
+  // The cuts moved too: the destination probes in one exchange.
+  moved.resolve(Name::must_parse("nosuch3.example.com"), RrType::kA);
+  EXPECT_EQ(moved.upstream_queries(), kColdProbeQueries + 2);
+  moved.flush_metrics();
+  EXPECT_EQ(metric.value(), before + 2);
+}
+
+TEST_F(ResolverFixture, CacheDisabledWalksFromRootsEveryTime) {
+  Resolver resolver{network, options(false)};
+  resolver.resolve(Name::must_parse("nosuch1.example.com"), RrType::kA);
+  resolver.resolve(Name::must_parse("nosuch2.example.com"), RrType::kA);
+  EXPECT_EQ(resolver.upstream_queries(), 2 * kColdProbeQueries);
+  EXPECT_EQ(resolver.cut_hits(), 0u);
 }
 
 }  // namespace

@@ -50,6 +50,19 @@ TEST(Zone, FindAnyReturnsEverythingAtName) {
             2u);
 }
 
+// Stored records leave the owner name to the node key; every copy handed
+// out must carry it again.
+TEST(Zone, ReturnedRecordsCarryTheirOwner) {
+  const auto zone = make_zone();
+  const auto www = Name::must_parse("www.example.com");
+  for (const auto& rr : zone.find(www, RrType::kA)) EXPECT_EQ(rr.name, www);
+  for (const auto& rr : zone.find_all(www)) EXPECT_EQ(rr.name, www);
+  EXPECT_EQ(zone.find(zone.origin(), RrType::kSoa).front().name,
+            zone.origin());
+  for (const auto& rr : zone.axfr())
+    EXPECT_TRUE(zone.has_name(rr.name)) << rr.to_string();
+}
+
 TEST(Zone, RejectsOutOfZoneRecords) {
   auto zone = make_zone();
   EXPECT_FALSE(zone.add(ResourceRecord::a(Name::must_parse("other.org"),
