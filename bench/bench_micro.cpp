@@ -1,13 +1,17 @@
 // Micro-benchmarks (google-benchmark) for the hot substrate paths the
 // study pipeline leans on: DNS wire codec, iterative resolution, prefix
-// matching, packet decode, flow assembly, and HTTP/TLS parsing.
+// matching, packet decode, flow assembly, HTTP/TLS parsing, and the
+// fork-join region overhead.
 #include <benchmark/benchmark.h>
 
 #include "analysis/ranges.h"
 #include "dns/message.h"
 #include "dns/resolver.h"
+#include "exec/config.h"
+#include "exec/parallel.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "pcap/decode.h"
 #include "pcap/flow.h"
 #include "proto/http.h"
@@ -149,6 +153,27 @@ void BM_MetricsOverhead(benchmark::State& state) {
   obs::set_detailed_metrics(was_on);
 }
 BENCHMARK(BM_MetricsOverhead)->Arg(0)->Arg(1);
+
+// Price of the caller-wait bookkeeping every fanned-out region pays
+// (exec.region.caller_wait_us): one clock pair plus one counter add. Read
+// it against BM_ParallelRegion, the cost of the smallest fanned-out region
+// at 2 threads, to get its share of a region.
+void BM_CallerWaitBookkeeping(benchmark::State& state) {
+  auto& caller_wait = obs::counter("exec.region.caller_wait_us");
+  for (auto _ : state) {
+    const auto started_us = obs::steady_now_us();
+    caller_wait.inc(obs::steady_now_us() - started_us);
+  }
+}
+BENCHMARK(BM_CallerWaitBookkeeping);
+
+void BM_ParallelRegion(benchmark::State& state) {
+  exec::ScopedThreads threads{2};
+  for (auto _ : state)
+    exec::parallel_for(
+        4, [](std::size_t i) { benchmark::DoNotOptimize(i); }, /*grain=*/1);
+}
+BENCHMARK(BM_ParallelRegion);
 
 void BM_WorldBuild(benchmark::State& state) {
   for (auto _ : state) {

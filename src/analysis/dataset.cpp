@@ -69,18 +69,24 @@ AlexaDataset DatasetBuilder::build(Resume resume) {
   // One task per domain, each with its own resolver + enumerator (resolver
   // caches are stateful, so tasks cannot share one). The enumerator's
   // brute force additionally fans out inside the task via the factory; on
-  // a pool worker that nested region runs inline, which is exactly right —
-  // domains are the coarser, better-balanced unit. Chunking bounds the
-  // probes held in flight; because every domain's probe is independent and
-  // the reduction below merges in rank order, the dataset is identical for
-  // any chunk size, thread count, or resume point.
+  // every lane — pool worker or draining caller — that nested region runs
+  // inline, which is exactly right: domains are the coarser,
+  // better-balanced unit. Domains are handed out one at a time (grain 1):
+  // no state outlives a domain, so the grain cannot change the result, and
+  // a coarser grain only leaves lanes idle behind a long last chunk.
+  // Chunking bounds the probes held in flight; because every domain's
+  // probe is independent and the reduction below merges in rank order, the
+  // dataset is identical for any chunk size, thread count, or resume point.
   while (next < domains.size()) {
     const std::size_t end = std::min(domains.size(), next + chunk);
-    auto probes = exec::parallel_map(end - next, [&](std::size_t i) {
-      auto resolver = world_.make_resolver(kProbeClient);
-      dns::Enumerator enumerator{resolver, enum_options};
-      return probe_domain(domains[next + i], resolver, enumerator);
-    });
+    auto probes = exec::parallel_map(
+        end - next,
+        [&](std::size_t i) {
+          auto resolver = world_.make_resolver(kProbeClient);
+          dns::Enumerator enumerator{resolver, enum_options};
+          return probe_domain(domains[next + i], resolver, enumerator);
+        },
+        /*grain=*/1);
 
     // Ordered reduction: domains stay in rank order and subdomain indices
     // are rebased onto the merged vector, so the result matches what a

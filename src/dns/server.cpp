@@ -37,13 +37,14 @@ const Zone* AuthoritativeServer::zone(const Name& origin) const {
 }
 
 const Zone* AuthoritativeServer::best_zone(const Name& name) const {
-  const Zone* best = nullptr;
-  for (const auto& [origin, zone] : zones_) {
-    if (name.is_subdomain_of(origin) &&
-        (!best || origin.label_count() > best->origin().label_count()))
-      best = zone.get();
+  // Walk towards the root: the first hosted origin met is the deepest
+  // enclosing zone, found in O(labels) lookups instead of a scan of every
+  // zone this server hosts.
+  for (Name n = name;; n = n.parent()) {
+    if (const auto it = zones_.find(n); it != zones_.end())
+      return it->second.get();
+    if (n.is_root()) return nullptr;
   }
-  return best;
 }
 
 Message AuthoritativeServer::handle(net::Ipv4 client,

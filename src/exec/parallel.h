@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "exec/thread_pool.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/sync.h"
 
 /// Fork-join building blocks over the global thread pool.
@@ -18,13 +20,20 @@
 ///
 /// Guarantees:
 ///  - The calling thread participates, so a region completes even when
-///    every worker is busy, and nested regions (a parallel_for inside a
-///    pool task) simply run inline — no deadlock, no oversubscription.
+///    every worker is busy.
+///  - A region opened on a lane runs inline: on a pool worker, and on the
+///    caller while it drains its own region's chunks. No deadlock, no
+///    oversubscription, and no lane blocks on nested runners queued
+///    behind the outer region's drain loops.
 ///  - Work is claimed from a shared chunk counter, so threads never idle
 ///    while chunks remain, but *results* are keyed by index, which makes
 ///    the output independent of which worker ran what.
 ///  - The first exception thrown by any chunk is rethrown on the calling
 ///    thread after the region drains; remaining chunks are abandoned.
+///
+/// Observability: exec.region.caller_wait_us sums, over fanned-out
+/// regions, how long the caller blocks on the runners after its own
+/// drain ran dry — one clock pair per region, not per chunk.
 ///
 /// Determinism caveat: the default grain adapts to the pool size. That is
 /// fine for pure per-index work, but when per-chunk state influences the
@@ -68,8 +77,7 @@ void parallel_for_chunks(std::size_t n, std::size_t grain, Fn&& fn) {
     fn(begin, end);
   };
 
-  if (pool.worker_count() == 0 || chunks <= 1 ||
-      ThreadPool::on_worker_thread()) {
+  if (pool.worker_count() == 0 || chunks <= 1 || ThreadPool::on_lane()) {
     // Sequential mode or a nested region: run inline, in chunk order.
     for (std::size_t chunk = 0; chunk < chunks; ++chunk) run_chunk(chunk);
     return;
@@ -104,7 +112,12 @@ void parallel_for_chunks(std::size_t n, std::size_t grain, Fn&& fn) {
     });
   }
 
-  drain();  // the caller is a lane too
+  {
+    ThreadPool::LaneScope lane;  // the caller is a lane too
+    drain();
+  }
+  static auto& caller_wait = obs::counter("exec.region.caller_wait_us");
+  const auto wait_started_us = obs::steady_now_us();
   std::exception_ptr error;
   {
     util::LockGuard lock{state.mutex};
@@ -112,6 +125,7 @@ void parallel_for_chunks(std::size_t n, std::size_t grain, Fn&& fn) {
       state.done.wait(state.mutex);
     error = state.error;
   }
+  caller_wait.inc(obs::steady_now_us() - wait_started_us);
   if (error) std::rethrow_exception(error);
 }
 

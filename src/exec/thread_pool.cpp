@@ -11,8 +11,8 @@
 namespace cs::exec {
 namespace {
 
-// Per-thread worker flag: never shared across threads.
-thread_local bool tls_on_worker = false;  // cslint:allow(C1): thread_local worker marker, not shared state
+// Per-thread lane flag: never shared across threads.
+thread_local bool tls_on_lane = false;  // cslint:allow(C1): thread_local lane marker, not shared state
 
 obs::Histogram& task_latency_histogram() {
   static auto& histogram = obs::histogram(
@@ -118,7 +118,7 @@ bool ThreadPool::try_run_one(unsigned self) {
 }
 
 void ThreadPool::worker_loop(unsigned index) {
-  tls_on_worker = true;
+  tls_on_lane = true;
   // Stable, human-readable lane in Chrome-trace exports instead of a raw
   // thread ordinal.
   obs::Tracer::instance().set_thread_name(
@@ -135,7 +135,11 @@ void ThreadPool::worker_loop(unsigned index) {
   }
 }
 
-bool ThreadPool::on_worker_thread() noexcept { return tls_on_worker; }
+bool ThreadPool::on_lane() noexcept { return tls_on_lane; }
+
+ThreadPool::LaneScope::LaneScope() noexcept { tls_on_lane = true; }
+
+ThreadPool::LaneScope::~LaneScope() { tls_on_lane = false; }
 
 namespace {
 

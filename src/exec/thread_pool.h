@@ -54,9 +54,20 @@ class ThreadPool {
   /// parallel_for, whose caller participates, for fork-join work.
   void submit(Task task);
 
-  /// True when the calling thread is one of this process's pool workers
-  /// (any pool). Parallel algorithms use it to run nested regions inline.
-  static bool on_worker_thread() noexcept;
+  /// True when the calling thread is a pool lane: a worker of any pool
+  /// (for life), or a caller while it drains its own region (LaneScope).
+  /// Parallel algorithms run a region opened on a lane inline.
+  static bool on_lane() noexcept;
+
+  /// Marks the calling thread, which must not be a lane yet, as a lane
+  /// until the scope ends.
+  class LaneScope {
+   public:
+    LaneScope() noexcept;
+    ~LaneScope();
+    LaneScope(const LaneScope&) = delete;
+    LaneScope& operator=(const LaneScope&) = delete;
+  };
 
   /// The process-wide pool, built on first use with exec::thread_count()
   /// lanes.

@@ -149,6 +149,54 @@ TEST(Server, MostSpecificZoneWins) {
   ASSERT_EQ(r.answers.size(), 1u);
 }
 
+// Owner of the SOA a negative answer carries: the origin of the zone that
+// answered.
+Name answering_zone(const AuthoritativeServer& server, std::string_view name) {
+  const auto r = ask(server, name, RrType::kA);
+  EXPECT_NE(r.header.rcode, Rcode::kRefused) << name;
+  EXPECT_EQ(r.authority.size(), 1u) << name;
+  return r.authority.empty() ? Name{} : r.authority.front().name;
+}
+
+AuthoritativeServer make_nested_server() {
+  AuthoritativeServer server;
+  for (const auto* origin : {".", "com", "example.com", "a.example.com"})
+    server.add_zone(Name::must_parse(origin), soa_for(origin));
+  return server;
+}
+
+TEST(Server, DeepestEnclosingZoneAnswersEachLevel) {
+  const auto server = make_nested_server();
+  EXPECT_EQ(answering_zone(server, "x.b.a.example.com"),
+            Name::must_parse("a.example.com"));
+  EXPECT_EQ(answering_zone(server, "x.b.example.com"),
+            Name::must_parse("example.com"));
+  EXPECT_EQ(answering_zone(server, "notexample.com"),
+            Name::must_parse("com"));
+  EXPECT_EQ(answering_zone(server, "www.example.org"), Name{});
+}
+
+TEST(Server, NameEqualToAnOriginPicksThatZone) {
+  const auto server = make_nested_server();
+  for (const auto* origin : {".", "com", "example.com", "a.example.com"}) {
+    const auto r = ask(server, origin, RrType::kA);
+    EXPECT_EQ(r.header.rcode, Rcode::kNoError) << origin;  // NODATA
+    ASSERT_EQ(r.authority.size(), 1u) << origin;
+    EXPECT_EQ(r.authority.front().name, Name::must_parse(origin));
+  }
+}
+
+TEST(Server, WithoutTheRootZoneUnrelatedNamesAreRefused) {
+  AuthoritativeServer server;
+  for (const auto* origin : {"example.com", "a.example.com"})
+    server.add_zone(Name::must_parse(origin), soa_for(origin));
+  for (const auto* name : {"www.example.org", "com", "notexample.com", "."})
+    EXPECT_EQ(ask(server, name, RrType::kA).header.rcode, Rcode::kRefused)
+        << name;
+  EXPECT_EQ(answering_zone(server, "x.b.a.example.com"),
+            Name::must_parse("a.example.com"));
+}
+
 TEST(Server, WireRoundTrip) {
   const auto server = make_server();
   const auto q = Message::query(7, Name::must_parse("www.example.com"),

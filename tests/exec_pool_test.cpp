@@ -3,16 +3,21 @@
 // pool feeds the observability layer.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/config.h"
 #include "exec/parallel.h"
 #include "exec/sharded_rng.h"
 #include "exec/thread_pool.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/sync.h"
 
 namespace cs::exec {
 namespace {
@@ -128,6 +133,112 @@ TEST(ParallelFor, NestedRegionsDoNotDeadlock) {
     });
   });
   EXPECT_EQ(total.load(), 64);
+}
+
+TEST(ParallelFor, EveryLaneIsMarkedWhileItDrains) {
+  ScopedThreads guard{2};
+  EXPECT_FALSE(ThreadPool::on_lane());
+  std::atomic<int> unmarked{0};
+  parallel_for(
+      64,
+      [&](std::size_t) {
+        if (!ThreadPool::on_lane())
+          unmarked.fetch_add(1, std::memory_order_relaxed);
+      },
+      /*grain=*/1);
+  EXPECT_EQ(unmarked.load(), 0);
+  EXPECT_FALSE(ThreadPool::on_lane());  // the caller's marking is scoped
+}
+
+/// A `parties`-way rendezvous whose wait gives up at a deadline, so a
+/// lane that never arrives fails the test instead of hanging it.
+class BoundedBarrier {
+ public:
+  explicit BoundedBarrier(int parties) : parties_(parties) {}
+
+  /// True once every party arrived; false if the deadline passed first.
+  bool arrive_and_wait(std::chrono::seconds timeout) {
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    util::LockGuard lock{mutex_};
+    if (++arrived_ == parties_) all_arrived_.notify_all();
+    while (arrived_ < parties_) {
+      if (all_arrived_.wait_until(mutex_, deadline) ==
+              std::cv_status::timeout &&
+          arrived_ < parties_)
+        return false;
+    }
+    return true;
+  }
+
+ private:
+  const int parties_;
+  util::Mutex mutex_;
+  util::CondVar all_arrived_;
+  int arrived_ CS_GUARDED_BY(mutex_) = 0;
+};
+
+TEST(ParallelFor, CallerLaneRunsNestedRegionsInline) {
+  // Regression: the calling thread used to fan a nested region out into
+  // the workers' deques and then block until those runners ran — but the
+  // runners sat queued behind the workers' outer chunks, here held at a
+  // barrier that needs the caller too. Every lane must run its nested
+  // region inline and reach the barrier. The first barrier makes sure
+  // both workers are inside their outer chunks before any nested region
+  // opens, as they are mid-census.
+  ScopedThreads guard{2};
+  constexpr std::size_t kOuter = 3;  // one outer index per lane
+  constexpr std::size_t kInner = 4;
+  BoundedBarrier started{static_cast<int>(kOuter)};
+  BoundedBarrier finished{static_cast<int>(kOuter)};
+  std::array<std::array<std::atomic<int>, kInner>, kOuter> hits{};
+  std::atomic<int> timeouts{0};
+  const auto arrive = [&](BoundedBarrier& barrier) {
+    if (!barrier.arrive_and_wait(std::chrono::seconds{10}))
+      timeouts.fetch_add(1, std::memory_order_relaxed);
+  };
+  parallel_for(
+      kOuter,
+      [&](std::size_t outer) {
+        arrive(started);
+        parallel_for(kInner, [&](std::size_t inner) {
+          hits[outer][inner].fetch_add(1, std::memory_order_relaxed);
+        });
+        arrive(finished);
+      },
+      /*grain=*/1);
+  EXPECT_EQ(timeouts.load(), 0) << "a lane stalled in a nested region";
+  for (const auto& row : hits)
+    for (const auto& hit : row) EXPECT_EQ(hit.load(), 1);
+}
+
+TEST(ParallelFor, CountsCallerWaitPerFannedOutRegion) {
+  auto& caller_wait = obs::counter("exec.region.caller_wait_us");
+  const auto before = caller_wait.value();
+  {
+    ScopedThreads guard{1};  // sequential: nothing fans out, nothing waits
+    parallel_for(64, [](std::size_t) {}, /*grain=*/1);
+  }
+  EXPECT_EQ(caller_wait.value(), before);
+
+  // A worker holds one of two chunks well past the point where the
+  // caller's drain runs dry, so the caller provably blocks on it. The
+  // caller's own chunk waits for the worker to start, so the caller
+  // cannot claim both.
+  ScopedThreads guard{2};
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> worker_started{false};
+  parallel_for(
+      2,
+      [&](std::size_t) {
+        if (std::this_thread::get_id() != caller) {
+          worker_started.store(true);
+          std::this_thread::sleep_for(std::chrono::milliseconds{20});
+          return;
+        }
+        while (!worker_started.load()) std::this_thread::yield();
+      },
+      /*grain=*/1);
+  EXPECT_GT(caller_wait.value(), before);
 }
 
 TEST(ParallelMap, ResultsArriveInIndexOrder) {
