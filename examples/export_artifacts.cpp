@@ -3,33 +3,36 @@
 // and an RFC-1035 master file for a domain's zone — then re-import both
 // to show the round trip is lossless.
 //
-//   ./examples/export_artifacts [output_dir] [--checkpoint <dir>] [--resume]
+//   ./examples/export_artifacts [output_dir]
+//
+// Any flag prints the usage line and exits 2.
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "core/study.h"
 #include "dns/zonefile.h"
 #include "proto/logfile.h"
-#include "util/env.h"
 #include "util/format.h"
+
+namespace {
+
+constexpr const char* kUsage =
+    "usage: export_artifacts [output_dir]\n";
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace cs;
 
   std::vector<std::string> positional;
-  std::string checkpoint_dir;
-  bool resume = false;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg == "--checkpoint") {
-      if (i + 1 >= argc) {
-        std::cerr << "--checkpoint needs a directory\n";
-        return 2;
-      }
-      checkpoint_dir = argv[++i];
-    } else if (arg == "--resume") {
-      resume = true;
+    if (arg.size() > 1 && arg.front() == '-') {
+      std::cerr << "unknown flag '" << arg << "'\n" << kUsage;
+      return 2;
     } else {
       positional.emplace_back(arg);
     }
@@ -41,11 +44,6 @@ int main(int argc, char** argv) {
   core::StudyConfig config;
   config.world.domain_count = 200;
   config.traffic.total_web_bytes = 4ull * 1024 * 1024;
-  config.checkpoint_dir = checkpoint_dir;
-  if (resume && checkpoint_dir.empty() && !util::env_text("CS_CHECKPOINT")) {
-    std::cerr << "--resume needs --checkpoint <dir> or CS_CHECKPOINT\n";
-    return 2;
-  }
   core::Study study{config};
 
   // 1. The capture, as Zeek logs.
@@ -90,11 +88,5 @@ int main(int argc, char** argv) {
         parsed.errors.size());
     break;  // one exemplar is enough
   }
-
-  if (const auto& store = study.checkpoint_store())
-    std::cout << util::fmt("resumed {} of {} stages from {}\n",
-                           study.stages_resumed(),
-                           core::Study::stage_table().size(),
-                           store->dir().string());
   return 0;
 }

@@ -56,8 +56,9 @@ AlexaDataset DatasetBuilder::build(Resume resume) {
                                               kProbeClient);
                                         }};
 
-  AlexaDataset dataset = std::move(resume.dataset);
-  std::size_t next = std::min(resume.next_domain, domains.size());
+  auto& dataset = resume.dataset;
+  auto& next = resume.next_domain;
+  next = std::min(next, domains.size());
   dataset.domains.reserve(domains.size());
 
   // Each partial checkpoint re-encodes everything built so far, so cap
@@ -104,11 +105,11 @@ AlexaDataset DatasetBuilder::build(Resume resume) {
 
     if (options_.on_chunk && next < domains.size() &&
         next - last_checkpoint >= checkpoint_every) {
-      options_.on_chunk(dataset, next);
+      options_.on_chunk(resume);
       last_checkpoint = next;
     }
   }
-  return dataset;
+  return std::move(dataset);
 }
 
 DatasetBuilder::DomainProbe DatasetBuilder::probe_domain(

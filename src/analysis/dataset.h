@@ -152,6 +152,13 @@ struct AlexaDataset {
 
 class DatasetBuilder {
  public:
+  /// A mid-stage resume point: everything built for domains before
+  /// `next_domain`. core::Study checkpoints it as "dataset.partial".
+  struct Resume {
+    AlexaDataset dataset;
+    std::size_t next_domain = 0;
+  };
+
   struct Options {
     std::vector<std::string> wordlist;  ///< empty = default wordlist
     bool attempt_axfr = true;
@@ -169,19 +176,12 @@ class DatasetBuilder {
     /// artifact — per-domain probes are independent and merge in rank
     /// order — so this is deliberately absent from the config hash.
     std::size_t chunk_domains = 0;
-    /// Invoked after chunk boundaries with the dataset built so far and
-    /// the index of the next unprobed domain; core::Study wires this to a
-    /// "dataset.partial" snapshot so a killed paper-scale build resumes
-    /// mid-stage instead of restarting. Null = no partial checkpoints.
-    std::function<void(const AlexaDataset& partial, std::size_t next_domain)>
-        on_chunk;
-  };
-
-  /// A mid-stage resume point: everything built for domains before
-  /// `next_domain`.
-  struct Resume {
-    AlexaDataset dataset;
-    std::size_t next_domain = 0;
+    /// Invoked after chunk boundaries with the resume point so far: the
+    /// dataset built for every domain before the next unprobed one.
+    /// core::Study wires this to a "dataset.partial" snapshot so a killed
+    /// paper-scale build resumes mid-stage instead of restarting. Null =
+    /// no partial checkpoints.
+    std::function<void(const Resume& partial)> on_chunk;
   };
 
   DatasetBuilder(const synth::World& world, Options options);

@@ -4,7 +4,9 @@
 #include <set>
 
 namespace cs::analysis {
+namespace {
 
+/// The §5.2 probe fleet, launched in region/zone order.
 std::vector<const cloud::Instance*> launch_probe_fleet(cloud::Provider& ec2) {
   std::vector<const cloud::Instance*> fleet;
   for (const auto& region : ec2.regions())
@@ -17,6 +19,8 @@ std::vector<const cloud::Instance*> launch_probe_fleet(cloud::Provider& ec2) {
                                      .type = "m1.medium"}));
   return fleet;
 }
+
+}  // namespace
 
 IspStudy run_isp_study(cloud::Provider& ec2,
                        const internet::AsTopology& topology,

@@ -24,15 +24,9 @@ struct IspStudy {
   std::vector<IspDiversityRow> rows;
 };
 
-/// Launches the §5.2 probe fleet — three "isp-probe" instances per zone
-/// of every region, in region/zone order. Split out from run_isp_study so
-/// a snapshot-resumed run can replay exactly these launches (and keep the
-/// provider's address allocation identical) without redoing the
-/// traceroutes.
-std::vector<const cloud::Instance*> launch_probe_fleet(cloud::Provider& ec2);
-
-/// Runs the §5.2 methodology: instances per zone traceroute to every
-/// vantage; the first non-cloud hop is whois'ed to an AS.
+/// Runs the §5.2 methodology: three "isp-probe" instances launched per
+/// zone of every region traceroute to every vantage; the first non-cloud
+/// hop is whois'ed to an AS.
 IspStudy run_isp_study(cloud::Provider& ec2,
                        const internet::AsTopology& topology,
                        const std::vector<internet::VantagePoint>& vantages,

@@ -1,65 +1,34 @@
 #pragma once
 
-#include "analysis/capture.h"
-#include "analysis/cloud_usage.h"
-#include "analysis/columns.h"
 #include "analysis/dataset.h"
-#include "analysis/isp.h"
-#include "analysis/patterns.h"
-#include "analysis/regions.h"
-#include "analysis/widearea.h"
-#include "analysis/zones.h"
-#include "proto/logs.h"
 #include "snap/codec.h"
 
-/// Snapshot codecs for every cached stage result in core::Study. One
-/// encode/decode pair per artifact type; the store picks the overload by
-/// the slot's static type, via ADL on snap::Writer/Reader, which is why
-/// these stay in namespace cs::snap even though the file lives in
-/// analysis/ — the codecs depend on every artifact type, and the include
-/// graph must point analysis -> snap, never snap -> analysis (cslint G1). Decoding validates as it goes (DNS names are
-/// re-parsed through their own validators, enums are range-checked) and
-/// throws SnapshotError rather than materialising nonsense.
+/// Snapshot codec for the one stage core::Study persists: the §2.1
+/// dataset, whole ("dataset") or cut at a chunk boundary
+/// ("dataset.partial"). Every other stage rebuilds from the dataset and
+/// the world in well under a second, so it has no codec. The store picks
+/// the overload by the slot's static type, via ADL on snap::Writer/Reader,
+/// which is why these stay in namespace cs::snap even though the file
+/// lives in analysis/ — the include graph must point analysis -> snap,
+/// never snap -> analysis (cslint G1).
 ///
-/// Round-trip contract, pinned by snap_codec_test: for every artifact
-/// `a`, encode(decode(encode(a))) produces the same bytes as encode(a).
+/// The rows are written as they are, field by field. Decoding validates
+/// as it goes — DNS names re-parse through dns::Name::from_labels, every
+/// cloud-subdomain index and failed-lookup rcode is range-checked,
+/// booleans must be canonical — and throws SnapshotError rather than
+/// materialising nonsense.
+///
+/// Round-trip contract, pinned by snap_codec_test: for every value `a`,
+/// encode(decode(encode(a))) produces the same bytes as encode(a).
 namespace cs::snap {
 
 void encode_artifact(Writer& w, const analysis::AlexaDataset& v);
 void decode_artifact(Reader& r, analysis::AlexaDataset& v);
 
-/// The dataset's native snapshot form (see analysis/columns.h); the
-/// AlexaDataset overloads above convert through it, so the two encode to
-/// identical bytes for equal data.
-void encode_artifact(Writer& w, const analysis::DatasetColumns& v);
-void decode_artifact(Reader& r, analysis::DatasetColumns& v);
-
-/// Mid-stage checkpoint of a chunked dataset build ("dataset.partial").
-void encode_artifact(Writer& w, const analysis::PartialDataset& v);
-void decode_artifact(Reader& r, analysis::PartialDataset& v);
-
-void encode_artifact(Writer& w, const analysis::CloudUsageReport& v);
-void decode_artifact(Reader& r, analysis::CloudUsageReport& v);
-
-void encode_artifact(Writer& w, const analysis::PatternReport& v);
-void decode_artifact(Reader& r, analysis::PatternReport& v);
-
-void encode_artifact(Writer& w, const analysis::RegionReport& v);
-void decode_artifact(Reader& r, analysis::RegionReport& v);
-
-void encode_artifact(Writer& w, const proto::TraceLogs& v);
-void decode_artifact(Reader& r, proto::TraceLogs& v);
-
-void encode_artifact(Writer& w, const analysis::CaptureReport& v);
-void decode_artifact(Reader& r, analysis::CaptureReport& v);
-
-void encode_artifact(Writer& w, const analysis::ZoneStudy& v);
-void decode_artifact(Reader& r, analysis::ZoneStudy& v);
-
-void encode_artifact(Writer& w, const analysis::Campaign& v);
-void decode_artifact(Reader& r, analysis::Campaign& v);
-
-void encode_artifact(Writer& w, const analysis::IspStudy& v);
-void decode_artifact(Reader& r, analysis::IspStudy& v);
+/// A chunked build's resume point: the rows of every domain before
+/// `next_domain`. Decode rejects a resume point that disagrees with the
+/// number of domains it holds.
+void encode_artifact(Writer& w, const analysis::DatasetBuilder::Resume& v);
+void decode_artifact(Reader& r, analysis::DatasetBuilder::Resume& v);
 
 }  // namespace cs::snap

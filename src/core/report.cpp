@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include "carto/proximity.h"
 #include "fault/fault.h"
@@ -469,6 +470,57 @@ std::string render_fig12(const std::vector<analysis::KRegionResult>& results) {
     t.add(result.k, regions, result.avg_rtt_ms, result.avg_tput_kbps);
   }
   return t.render();
+}
+
+std::vector<PaperArtifact> render_paper(Study& study) {
+  std::vector<PaperArtifact> out;
+  const auto add = [&](const char* file, std::string text) {
+    out.push_back({file, std::move(text)});
+  };
+  add("table01.txt", render_table1(study.capture()));
+  add("table02.txt", render_table2(study.capture()));
+  add("table03.txt", render_table3(study.cloud_usage()));
+  add("table04.txt", render_table4(study.cloud_usage()));
+  add("table05.txt", render_table5(study.capture()));
+  add("table06.txt", render_table6(study.capture()));
+  add("table07.txt", render_table7(study.patterns()));
+  add("table08.txt", render_table8(study));
+  add("table09.txt", render_table9(study.regions()));
+  add("table10.txt", render_table10(study));
+  add("table11.txt", render_table11(study));
+  add("table12.txt", render_table12(study.zone_study()));
+  add("table13.txt", render_table13(study.zone_study()));
+  add("table14.txt", render_table14(study.zone_study()));
+  add("table15.txt", render_table15(study));
+  add("table16.txt", render_table16(study.isp_study()));
+
+  add("fig03.txt", render_fig3(study.capture()));
+  add("fig04.txt", render_fig4(study.patterns()));
+  add("fig05.txt", render_fig5(study.patterns()));
+  add("fig06.txt", render_fig6(study.regions()));
+  add("fig07.txt", render_fig7(study));
+  add("fig08.txt", render_fig8(study.zone_study()));
+  add("fig09_10.txt",
+      render_fig9_10(analysis::average_matrix(study.campaign())));
+  // Figure 11 follows Boulder through the shared campaign when Boulder is
+  // among its vantages; otherwise it runs a dedicated one.
+  try {
+    add("fig11.txt", render_fig11(analysis::flapping_series(study.campaign(),
+                                                            "boulder")));
+  } catch (const std::invalid_argument&) {
+    const std::vector<internet::VantagePoint> boulder = {
+        internet::vantage_named("boulder")};
+    std::vector<const cloud::Region*> regions;
+    for (const auto& region : study.world().ec2().regions())
+      regions.push_back(&region);
+    const auto campaign =
+        analysis::run_campaign(study.wan_model(), boulder, regions, 3.0);
+    add("fig11.txt",
+        render_fig11(analysis::flapping_series(campaign, "boulder")));
+  }
+  add("fig12.txt",
+      render_fig12(analysis::optimal_k_regions(study.campaign())));
+  return out;
 }
 
 std::string render_data_quality(Study& study) {

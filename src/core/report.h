@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "core/study.h"
 
@@ -39,6 +40,20 @@ std::string render_fig8(const analysis::ZoneStudy& study);
 std::string render_fig9_10(const analysis::ClientRegionAverages& averages);
 std::string render_fig11(const analysis::FlappingSeries& series);
 std::string render_fig12(const std::vector<analysis::KRegionResult>& results);
+
+/// One rendered paper artifact and the file name it is written to.
+struct PaperArtifact {
+  std::string file;
+  std::string text;
+};
+
+/// Every table (1-16) and figure (3-12) of the paper, rendered from one
+/// study in a fixed order. The order is part of the output: rendering
+/// builds stages on demand, and several stages and renderers launch
+/// instances, so another order would shift later address allocations.
+/// paper_reproduction writes exactly this list; the golden test digests
+/// it.
+std::vector<PaperArtifact> render_paper(Study& study);
 
 /// Data-quality appendix: how much raw signal the study lost to drops,
 /// retries, truncation, dead vantage rounds, and unresolved names — fed

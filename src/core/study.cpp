@@ -1,6 +1,5 @@
 #include "core/study.h"
 
-#include "analysis/columns.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -40,8 +39,7 @@ constexpr const char* kDepsDataset[] = {"dataset"};
 constexpr const char* kDepsCaptureLogs[] = {"capture_logs"};
 
 /// Canonical build order. Every supervised stage appears here; deps name
-/// the stages forced first (both when building and when resuming, so the
-/// world mutates in the same order either way).
+/// the stages it forces first.
 constexpr Study::StageDesc kStageTable[] = {
     {"dataset", {}},
     {"cloud_usage", kDepsDataset},
@@ -97,19 +95,15 @@ Study::~Study() {
 }
 
 std::uint64_t Study::config_hash() const {
-  // Only fields that shape stage artifacts participate; checkpoint_dir,
-  // supervision, and transport steer *how* stages run (or which wire
-  // carries the bytes), never what a completed stage produced.
+  // Only fields that shape the persisted dataset participate. Traffic,
+  // campaign and ISP scale shape stages that are rebuilt on every run;
+  // checkpoint_dir, supervision, and transport steer *how* stages run (or
+  // which wire carries the bytes), never what the dataset holds.
   snap::Writer w;
   w.u64(config_.world.seed);
   w.u64(config_.world.domain_count);
   w.f64(config_.world.adoption_scale);
   w.boolean(config_.world.plant_marquee_domains);
-  w.u64(config_.traffic.seed);
-  w.f64(config_.traffic.start_time);
-  w.f64(config_.traffic.duration_sec);
-  w.u64(config_.traffic.total_web_bytes);
-  w.u64(config_.traffic.emitted_flow_cap);
   w.count(config_.dataset.wordlist.size());
   for (const auto& word : config_.dataset.wordlist) w.str(word);
   w.boolean(config_.dataset.attempt_axfr);
@@ -119,36 +113,17 @@ std::uint64_t Study::config_hash() const {
   // and on_chunk deliberately do NOT participate — chunking is
   // artifact-invariant, so any chunk size may resume any checkpoint.
   w.boolean(config_.dataset.keep_records);
-  w.u64(config_.campaign_vantages);
-  w.f64(config_.campaign_days);
-  w.u64(config_.isp_vantages);
   return snap::fnv1a(w.bytes());
 }
 
-template <typename T, typename Build, typename Replay>
-const T& Study::stage(const char* name, std::optional<T>& slot, Build&& build,
-                      Replay&& replay) {
+template <typename T, typename Build>
+const T& Study::stage(const char* name, std::optional<T>& slot,
+                      Build&& build) {
   if (slot) return *slot;
   auto& run = stage_runs_.emplace_back();
   run.stage = name;
-  if (store_) {
-    if (auto loaded = store_->template load<T>(name)) {
-      // The artifact is done, but its builder's world side effects (the
-      // instance launches that shift every later address allocation) are
-      // not in the snapshot — replay them so downstream stages see the
-      // same world an uninterrupted run would have.
-      replay();
-      run.from_snapshot = true;
-      slot = std::move(*loaded);
-      obs::counter("study.stages_resumed").inc();
-      return *slot;
-    }
-  }
-  {
-    StageScope scope{std::string{"study."} + name};
-    slot = supervisor_.run(run, build, [] { return T{}; });
-  }
-  if (store_ && !run.degraded) store_->save(name, *slot);
+  StageScope scope{std::string{"study."} + name};
+  slot = supervisor_.run(run, build, [] { return T{}; });
   return *slot;
 }
 
@@ -171,102 +146,88 @@ const std::map<std::string, std::size_t>& Study::rank_map() {
 }
 
 const analysis::AlexaDataset& Study::dataset() {
-  return stage(
-      "dataset", dataset_,
-      [&] {
-        auto options = config_.dataset;
-        analysis::DatasetBuilder::Resume resume;
-        if (store_) {
-          // Mid-stage checkpoint: a chunked build leaves "dataset.partial"
-          // at chunk boundaries, so a crash inside the (paper-scale: hours
-          // long) dataset stage only loses the current chunk. Resuming
-          // from any chunk size is byte-identical — per-domain probes are
-          // independent and merge in rank order.
-          if (auto partial = store_->template load<analysis::PartialDataset>(
-                  "dataset.partial")) {
-            resume.next_domain =
-                static_cast<std::size_t>(partial->next_domain);
-            resume.dataset = partial->columns.to_dataset();
-          }
-          options.on_chunk = [this](const analysis::AlexaDataset& so_far,
-                                    std::size_t next_domain) {
-            analysis::PartialDataset partial;
-            partial.columns = analysis::DatasetColumns::from_dataset(so_far);
-            partial.next_domain = next_domain;
-            store_->save("dataset.partial", partial);
-          };
-        }
-        analysis::DatasetBuilder builder{*world_, options};
-        auto built = builder.build(std::move(resume));
-        // The full "dataset" snapshot saved by stage() supersedes any
-        // partial; retire it so a config change can't leave one around.
-        if (store_) store_->remove("dataset.partial");
-        return built;
-      },
-      [] {});
+  // The dataset is the only stage that persists. It is the §2.1 census,
+  // hours long at paper scale; every other stage rebuilds from it and the
+  // world in well under a second. Loading it has no world side effects,
+  // so a resumed run rebuilds the other stages in the caller's order, and
+  // their instance launches happen exactly as in an uninterrupted run.
+  if (!dataset_ && store_) {
+    if (auto loaded = store_->load<analysis::AlexaDataset>("dataset")) {
+      auto& run = stage_runs_.emplace_back();
+      run.stage = "dataset";
+      run.from_snapshot = true;
+      obs::counter("study.stages_resumed").inc();
+      dataset_ = std::move(*loaded);
+    }
+  }
+  return stage("dataset", dataset_, [&] {
+    using Resume = analysis::DatasetBuilder::Resume;
+    auto options = config_.dataset;
+    Resume resume;
+    if (store_) {
+      // Mid-stage checkpoint: a chunked build leaves "dataset.partial" at
+      // chunk boundaries, so a crash inside the (paper-scale: hours long)
+      // dataset stage only loses the current chunk. Resuming from any
+      // chunk size is byte-identical — per-domain probes are independent
+      // and merge in rank order.
+      if (auto partial = store_->load<Resume>("dataset.partial"))
+        resume = std::move(*partial);
+      options.on_chunk = [this](const Resume& so_far) {
+        store_->save("dataset.partial", so_far);
+      };
+    }
+    analysis::DatasetBuilder builder{*world_, options};
+    auto built = builder.build(std::move(resume));
+    // The full snapshot supersedes the partial; retire the partial only
+    // once the full one is on disk. A failed save (full disk, unwritable
+    // dir) keeps the partial, so a later crash still resumes from it.
+    if (store_ && store_->save("dataset", built))
+      store_->remove("dataset.partial");
+    return built;
+  });
 }
 
 const analysis::CloudUsageReport& Study::cloud_usage() {
-  return stage(
-      "cloud_usage", cloud_usage_,
-      [&] {
-        const auto& data = dataset();
-        return analysis::analyze_cloud_usage(data);
-      },
-      [&] { dataset(); });
+  return stage("cloud_usage", cloud_usage_, [&] {
+    const auto& data = dataset();
+    return analysis::analyze_cloud_usage(data);
+  });
 }
 
 const analysis::PatternReport& Study::patterns() {
-  return stage(
-      "patterns", patterns_,
-      [&] {
-        const auto& data = dataset();
-        return analysis::analyze_patterns(data, ranges());
-      },
-      [&] { dataset(); });
+  return stage("patterns", patterns_, [&] {
+    const auto& data = dataset();
+    return analysis::analyze_patterns(data, ranges());
+  });
 }
 
 const analysis::RegionReport& Study::regions() {
-  return stage(
-      "regions", regions_,
-      [&] {
-        const auto& data = dataset();
-        return analysis::analyze_regions(data, ranges());
-      },
-      [&] { dataset(); });
+  return stage("regions", regions_, [&] {
+    const auto& data = dataset();
+    return analysis::analyze_regions(data, ranges());
+  });
 }
 
 const proto::TraceLogs& Study::capture_logs() {
-  return stage(
-      "capture_logs", capture_logs_,
-      [&] {
-        // Streamed: each traffic unit feeds the flow assembler and is
-        // freed before the next one is generated, so the capture never
-        // materializes. Byte-identical to analyze_flows(assemble_flows(
-        // generator.generate())) — units are tuple-disjoint and the
-        // assembler imposes a batching-independent total order.
-        synth::TrafficGenerator generator{*world_, config_.traffic};
-        pcap::FlowAssembler assembler;
-        generator.generate_units(
-            [&](std::vector<pcap::Packet>&& unit) { assembler.feed(unit); });
-        return proto::analyze_flows(assembler.finish());
-      },
-      [&] {
-        // The generator's constructor launches the heavy-hitter tenants;
-        // replaying just the construction keeps provider address
-        // allocation identical without regenerating a week of traffic.
-        synth::TrafficGenerator generator{*world_, config_.traffic};
-      });
+  return stage("capture_logs", capture_logs_, [&] {
+    // Streamed: each traffic unit feeds the flow assembler and is freed
+    // before the next one is generated, so the capture never
+    // materializes. Byte-identical to analyze_flows(assemble_flows(
+    // generator.generate())) — units are tuple-disjoint and the assembler
+    // imposes a batching-independent total order.
+    synth::TrafficGenerator generator{*world_, config_.traffic};
+    pcap::FlowAssembler assembler;
+    generator.generate_units(
+        [&](std::vector<pcap::Packet>&& unit) { assembler.feed(unit); });
+    return proto::analyze_flows(assembler.finish());
+  });
 }
 
 const analysis::CaptureReport& Study::capture() {
-  return stage(
-      "capture", capture_,
-      [&] {
-        const auto& logs = capture_logs();
-        return analysis::analyze_capture(logs, ranges(), rank_map());
-      },
-      [&] { capture_logs(); });
+  return stage("capture", capture_, [&] {
+    const auto& logs = capture_logs();
+    return analysis::analyze_capture(logs, ranges(), rank_map());
+  });
 }
 
 internet::WideAreaModel& Study::wan_model() {
@@ -283,9 +244,8 @@ internet::AsTopology& Study::as_topology() {
 }
 
 const analysis::ZoneStudy& Study::zone_study() {
-  // Idempotent across retries and shared with the replay path: the
-  // estimator constructors launch carto probe fleets into EC2.
-  const auto ensure_estimators = [&] {
+  return stage("zone_study", zone_study_, [&] {
+    const auto& data = dataset();
     if (!proximity_)
       proximity_.emplace(
           world_->ec2(),
@@ -295,46 +255,28 @@ const analysis::ZoneStudy& Study::zone_study() {
           world_->ec2(), wan_model(),
           carto::LatencyZoneEstimator::Options{.seed =
                                                    config_.world.seed ^ 2});
-  };
-  return stage(
-      "zone_study", zone_study_,
-      [&] {
-        const auto& data = dataset();
-        ensure_estimators();
-        return analysis::run_zone_study(data, ranges(), *world_, *proximity_,
-                                        *latency_);
-      },
-      [&] {
-        dataset();
-        ensure_estimators();
-      });
+    return analysis::run_zone_study(data, ranges(), *world_, *proximity_,
+                                    *latency_);
+  });
 }
 
 const analysis::Campaign& Study::campaign() {
-  return stage(
-      "campaign", campaign_,
-      [&] {
-        const auto vantages =
-            internet::planetlab_vantages(config_.campaign_vantages);
-        std::vector<const cloud::Region*> regions;
-        for (const auto& region : world_->ec2().regions())
-          regions.push_back(&region);
-        return analysis::run_campaign(wan_model(), vantages, regions,
-                                      config_.campaign_days);
-      },
-      [] {});
+  return stage("campaign", campaign_, [&] {
+    const auto vantages =
+        internet::planetlab_vantages(config_.campaign_vantages);
+    std::vector<const cloud::Region*> regions;
+    for (const auto& region : world_->ec2().regions())
+      regions.push_back(&region);
+    return analysis::run_campaign(wan_model(), vantages, regions,
+                                  config_.campaign_days);
+  });
 }
 
 const analysis::IspStudy& Study::isp_study() {
-  return stage(
-      "isp_study", isp_study_,
-      [&] {
-        const auto vantages =
-            internet::planetlab_vantages(config_.isp_vantages);
-        return analysis::run_isp_study(world_->ec2(), as_topology(),
-                                       vantages);
-      },
-      [&] { analysis::launch_probe_fleet(world_->ec2()); });
+  return stage("isp_study", isp_study_, [&] {
+    const auto vantages = internet::planetlab_vantages(config_.isp_vantages);
+    return analysis::run_isp_study(world_->ec2(), as_topology(), vantages);
+  });
 }
 
 std::span<const Study::StageDesc> Study::stage_table() { return kStageTable; }

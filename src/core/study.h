@@ -28,8 +28,10 @@
 /// CloudScope's front door: one object that owns the simulated universe
 /// and runs each stage of the paper's pipeline under supervision —
 /// bounded retries, optional graceful degradation — caching results in
-/// memory and, when a checkpoint directory is configured, on disk so a
-/// killed run resumes instead of starting over.
+/// memory. When a checkpoint directory is configured, the one expensive
+/// stage, the §2.1 dataset, is also kept on disk (whole and mid-build),
+/// so a killed run resumes the census instead of starting over; every
+/// other stage rebuilds from it in well under a second.
 ///
 /// Typical use:
 ///   cs::core::Study study{cs::core::StudyConfig{}};
@@ -47,10 +49,10 @@ struct StudyConfig {
   double campaign_days = 1.0;
   std::size_t isp_vantages = 100;
 
-  /// Where stage snapshots live; empty defers to CS_CHECKPOINT (and when
-  /// that is unset too, checkpointing is off). Deliberately excluded from
-  /// the config hash: pointing two runs of the same study at different
-  /// directories must not invalidate their snapshots.
+  /// Where the dataset snapshots live; empty defers to CS_CHECKPOINT (and
+  /// when that is unset too, checkpointing is off). Deliberately excluded
+  /// from the config hash: pointing two runs of the same study at
+  /// different directories must not invalidate their snapshots.
   std::string checkpoint_dir;
   /// Retry/deadline/degradation policy for every supervised stage.
   /// Also excluded from the hash — supervision changes how a stage is
@@ -120,9 +122,10 @@ class Study {
   }
   std::size_t stages_resumed() const noexcept;
 
-  /// FNV-1a over every config field that shapes stage artifacts (world,
-  /// traffic, dataset options, campaign and ISP scale). Snapshots bind to
-  /// this; checkpoint_dir and supervision do not participate.
+  /// FNV-1a over every config field that shapes the persisted dataset
+  /// (world and dataset options). Snapshots bind to this; traffic,
+  /// campaign and ISP scale, checkpoint_dir and supervision do not
+  /// participate, so changing them never throws away a finished census.
   std::uint64_t config_hash() const;
 
   /// The active checkpoint store, or nullopt when checkpointing is off.
@@ -137,14 +140,11 @@ class Study {
   }
 
  private:
-  /// The lazy-build skeleton every stage accessor shares. `build` runs
-  /// the stage under the supervisor; `replay` re-applies the stage's
-  /// world side effects (dependency forcing + instance launches) when the
-  /// artifact itself came from a snapshot, so downstream stages see an
-  /// identical world either way.
-  template <typename T, typename Build, typename Replay>
-  const T& stage(const char* name, std::optional<T>& slot, Build&& build,
-                 Replay&& replay);
+  /// The lazy-build skeleton every stage accessor shares: unless `slot`
+  /// is already filled, runs `build` under the supervisor and caches the
+  /// result there.
+  template <typename T, typename Build>
+  const T& stage(const char* name, std::optional<T>& slot, Build&& build);
 
   StudyConfig config_;
   std::unique_ptr<synth::World> world_;
@@ -167,6 +167,9 @@ class Study {
   std::optional<analysis::IspStudy> isp_study_;
   std::optional<internet::WideAreaModel> wan_model_;
   std::optional<internet::AsTopology> as_topology_;
+  /// Built once per study, not per zone_study attempt: their
+  /// constructors launch carto probe fleets, which a supervised retry
+  /// must not launch twice.
   std::optional<carto::ProximityEstimator> proximity_;
   std::optional<carto::LatencyZoneEstimator> latency_;
 };

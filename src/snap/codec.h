@@ -9,10 +9,10 @@
 
 /// Versioned, checksummed binary snapshots for pipeline-stage artifacts.
 ///
-/// The paper's campaigns (34M-subdomain DNS probing, a week of capture)
-/// are exactly the workloads that die partway; cs::snap lets a killed run
-/// resume from its last completed stage instead of redoing — or worse,
-/// silently corrupting — earlier work. The format is deliberately dumb:
+/// The paper's census (34M-subdomain DNS probing) is exactly the workload
+/// that dies partway; cs::snap lets a killed run resume it instead of
+/// redoing — or worse, silently corrupting — earlier work. The format is
+/// deliberately dumb:
 ///
 ///   "CSNP" | u32 format version | u64 config hash | stage name |
 ///   u64 payload length | payload bytes | u64 FNV-1a(everything above)
@@ -25,9 +25,10 @@
 namespace cs::snap {
 
 /// Bump whenever any artifact codec changes shape; a mismatch rejects the
-/// snapshot and forces a rebuild. v2: the dataset artifact moved to its
-/// columnar (interned-name) form.
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// snapshot and forces a rebuild. v2: the dataset artifact moved to a
+/// columnar (interned-name) form. v3: the dataset is written as its rows,
+/// and it is the only artifact left.
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Raised by the reader/unframer on any malformed snapshot.
 class SnapshotError : public std::runtime_error {

@@ -29,9 +29,8 @@ class Cdf {
   /// Inverse CDF: smallest sample value v with fraction(v) >= q.
   double value_at(double q) const;
 
-  /// The raw samples in sorted order — the canonical serialized form (the
-  /// snapshot codec round-trips a Cdf through this view; every query
-  /// below is a pure function of it).
+  /// The raw samples in sorted order; every query below is a pure
+  /// function of this view.
   std::span<const double> sorted_samples() const;
 
   /// Exact step points (value, cumulative fraction), deduplicated by value.

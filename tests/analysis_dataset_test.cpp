@@ -218,11 +218,10 @@ TEST_F(DatasetTest, OnChunkReportsMonotoneCheckpoints) {
   DatasetBuilder::Options options;
   options.lookup_vantages = 3;
   options.chunk_domains = 100;
-  options.on_chunk = [&](const AlexaDataset& partial,
-                         std::size_t next_domain) {
+  options.on_chunk = [&](const DatasetBuilder::Resume& partial) {
     // The partial holds exactly the domains probed so far.
-    EXPECT_EQ(partial.domains.size(), next_domain);
-    boundaries.push_back(next_domain);
+    EXPECT_EQ(partial.dataset.domains.size(), partial.next_domain);
+    boundaries.push_back(partial.next_domain);
   };
   DatasetBuilder builder{*world_, options};
   const auto dataset = builder.build();
@@ -241,12 +240,9 @@ TEST_F(DatasetTest, ResumeFromPartialMatchesFullBuild) {
   options.lookup_vantages = 3;
   options.chunk_domains = 100;
   DatasetBuilder::Resume checkpoint;
-  options.on_chunk = [&](const AlexaDataset& partial,
-                         std::size_t next_domain) {
-    if (checkpoint.next_domain == 0) {  // keep the first checkpoint only
-      checkpoint.dataset = partial;
-      checkpoint.next_domain = next_domain;
-    }
+  options.on_chunk = [&](const DatasetBuilder::Resume& partial) {
+    // Keep the first checkpoint only.
+    if (checkpoint.next_domain == 0) checkpoint = partial;
   };
   DatasetBuilder{*world_, options}.build();
   ASSERT_GT(checkpoint.next_domain, 0u);

@@ -120,5 +120,31 @@ TEST_F(StudyTest, HeadlineNumbersInPaperBands) {
   EXPECT_GT(zones.combined_identified_fraction, 0.5);
 }
 
+// The checkpoint binds to what shapes the dataset and nothing else:
+// rescaling the capture, campaign or ISP study must not discard a census.
+TEST(StudyConfigHash, CoversTheDatasetInputsOnly) {
+  StudyConfig base;
+  base.world.domain_count = 40;
+  const auto hash = [](const StudyConfig& config) {
+    return Study{config}.config_hash();
+  };
+  const auto reference = hash(base);
+
+  auto rescaled = base;
+  rescaled.traffic.total_web_bytes /= 2;
+  rescaled.campaign_vantages = 3;
+  rescaled.campaign_days = 0.5;
+  rescaled.isp_vantages = 7;
+  rescaled.dataset.chunk_domains = 7;
+  EXPECT_EQ(hash(rescaled), reference);
+
+  auto reseeded = base;
+  reseeded.world.seed += 1;
+  EXPECT_NE(hash(reseeded), reference);
+  auto fewer_vantages = base;
+  fewer_vantages.dataset.lookup_vantages = 2;
+  EXPECT_NE(hash(fewer_vantages), reference);
+}
+
 }  // namespace
 }  // namespace cs::core

@@ -10,7 +10,6 @@
 #include "proto/http.h"
 #include "proto/tls.h"
 #include "util/rng.h"
-#include "util/stats.h"
 
 namespace cs {
 namespace {
@@ -282,27 +281,6 @@ TEST_P(RangePartitionProperty, ClassificationIsAPartition) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RangePartitionProperty,
-                         ::testing::Range<std::uint64_t>(1, 5));
-
-// ---------------------------------------------------------------------
-// Quantiles are monotone for arbitrary samples.
-class QuantileProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(QuantileProperty, MonotoneAndBounded) {
-  util::Rng rng{GetParam()};
-  std::vector<double> xs;
-  for (int i = 0; i < 500; ++i) xs.push_back(rng.pareto(1.0, 1.2));
-  double last = -1.0;
-  for (double q = 0.0; q <= 1.0; q += 0.05) {
-    const double v = util::quantile(xs, q);
-    EXPECT_GE(v, last);
-    EXPECT_GE(v, util::min_of(xs));
-    EXPECT_LE(v, util::max_of(xs));
-    last = v;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, QuantileProperty,
                          ::testing::Range<std::uint64_t>(1, 5));
 
 }  // namespace

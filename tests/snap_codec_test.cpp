@@ -1,8 +1,8 @@
-// cs::snap codec coverage: every stage artifact must round-trip through
-// its binary codec byte-identically, and every way a snapshot file can be
-// damaged — truncation, bit flips, foreign versions, a different study
-// configuration — must be rejected with a SnapshotError, never a crash or
-// a silent partial decode.
+// cs::snap codec coverage: the dataset (whole and mid-build) must
+// round-trip through its binary codec byte-identically, and every way a
+// snapshot file can be damaged — truncation, bit flips, foreign versions,
+// a different study configuration — must be rejected with a
+// SnapshotError, never a crash or a silent partial decode.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,7 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "analysis/columns.h"
 #include "analysis/dataset.h"
 #include "core/study.h"
 #include "exec/config.h"
@@ -28,14 +27,10 @@ core::StudyConfig small_config() {
   core::StudyConfig config;
   config.world.seed = 2013;
   config.world.domain_count = 100;
-  config.traffic.total_web_bytes = 2ull * 1024 * 1024;
   config.dataset.lookup_vantages = 2;
   // Keep NS collection on: it populates the dataset's name-server and
   // AXFR fields, so the round-trip exercises every codec branch.
   config.dataset.collect_name_servers = true;
-  config.campaign_vantages = 6;
-  config.campaign_days = 0.25;
-  config.isp_vantages = 10;
   return config;
 }
 
@@ -65,39 +60,12 @@ void expect_roundtrip(const T& value) {
 }
 
 TEST(ArtifactRoundTrip, Dataset) { expect_roundtrip(shared_study().dataset()); }
-TEST(ArtifactRoundTrip, CloudUsage) {
-  expect_roundtrip(shared_study().cloud_usage());
-}
-TEST(ArtifactRoundTrip, Patterns) {
-  expect_roundtrip(shared_study().patterns());
-}
-TEST(ArtifactRoundTrip, Regions) { expect_roundtrip(shared_study().regions()); }
-TEST(ArtifactRoundTrip, CaptureLogs) {
-  expect_roundtrip(shared_study().capture_logs());
-}
-TEST(ArtifactRoundTrip, Capture) { expect_roundtrip(shared_study().capture()); }
-TEST(ArtifactRoundTrip, ZoneStudy) {
-  expect_roundtrip(shared_study().zone_study());
-}
-TEST(ArtifactRoundTrip, Campaign) {
-  expect_roundtrip(shared_study().campaign());
-}
-TEST(ArtifactRoundTrip, IspStudy) {
-  expect_roundtrip(shared_study().isp_study());
-}
 
 TEST(ArtifactRoundTrip, EmptyArtifactsRoundTripToo) {
-  // Degraded stages substitute default-constructed artifacts; those must
-  // be encodable as well.
+  // A degraded dataset stage substitutes a default-constructed artifact;
+  // that must be encodable as well, and so must an empty resume point.
   expect_roundtrip(analysis::AlexaDataset{});
-  expect_roundtrip(analysis::CloudUsageReport{});
-  expect_roundtrip(analysis::PatternReport{});
-  expect_roundtrip(analysis::RegionReport{});
-  expect_roundtrip(proto::TraceLogs{});
-  expect_roundtrip(analysis::CaptureReport{});
-  expect_roundtrip(analysis::ZoneStudy{});
-  expect_roundtrip(analysis::Campaign{});
-  expect_roundtrip(analysis::IspStudy{});
+  expect_roundtrip(analysis::DatasetBuilder::Resume{});
 }
 
 // ---------------------------------------------------------------------
@@ -291,9 +259,8 @@ TEST(Store, CorruptedFileIsRejectedNotCrashed) {
 }
 
 // ---------------------------------------------------------------------
-// Columnar dataset artifacts: the paper-scale snapshot form. The row
-// form must survive the columnar trip exactly, both codecs must emit the
-// same bytes, and a damaged columnar payload must die as a SnapshotError.
+// The dataset row codec under damage: a payload that is cut short or
+// flipped below the framing checksum must die as a SnapshotError.
 
 /// A deliberately small dataset: the truncation sweep below decodes every
 /// prefix of its payload, which is quadratic in payload size.
@@ -306,43 +273,31 @@ analysis::AlexaDataset tiny_dataset() {
   return builder.build();
 }
 
-TEST(ColumnarDataset, RowFormSurvivesTheColumnarTripExactly) {
-  const auto& dataset = shared_study().dataset();
-  const auto columns = analysis::DatasetColumns::from_dataset(dataset);
-  EXPECT_EQ(columns.domain_count(), dataset.domains.size());
-  EXPECT_EQ(columns.subdomain_count(), dataset.cloud_subdomains.size());
-  EXPECT_EQ(encoded(columns.to_dataset()), encoded(dataset));
+/// The resume point a chunked build would checkpoint after its last
+/// domain.
+analysis::DatasetBuilder::Resume tiny_partial() {
+  analysis::DatasetBuilder::Resume partial;
+  partial.dataset = tiny_dataset();
+  partial.next_domain = partial.dataset.domains.size();
+  return partial;
 }
 
-TEST(ColumnarDataset, RowAndColumnarCodecsEmitIdenticalBytes) {
-  // The dataset artifact *is* the columnar artifact on the wire — a
-  // partial checkpoint and a stage snapshot interoperate byte-for-byte.
-  const auto& dataset = shared_study().dataset();
-  EXPECT_EQ(encoded(dataset),
-            encoded(analysis::DatasetColumns::from_dataset(dataset)));
-}
-
-TEST(ColumnarDataset, ColumnsArtifactRoundTrips) {
-  expect_roundtrip(
-      analysis::DatasetColumns::from_dataset(shared_study().dataset()));
-}
-
-TEST(ColumnarDataset, EveryPayloadTruncationIsRejected) {
-  const auto payload =
-      encoded(analysis::DatasetColumns::from_dataset(tiny_dataset()));
+TEST(DatasetCodec, EveryPayloadTruncationIsRejected) {
+  const auto payload = encoded(tiny_dataset());
   for (std::size_t len = 0; len < payload.size(); ++len) {
     Reader r{std::span{payload}.first(len)};
-    analysis::DatasetColumns columns;
-    EXPECT_THROW(decode_artifact(r, columns), SnapshotError)
+    analysis::AlexaDataset dataset;
+    EXPECT_THROW(decode_artifact(r, dataset), SnapshotError)
         << "prefix length " << len;
   }
 }
 
-TEST(ColumnarDataset, PayloadBitFlipsNeverEscapeAsCrashes) {
-  // Below the framing checksum the decoder's own validation (offset
-  // monotonicity, arena intern order, flag masks, name re-parse) must
-  // contain arbitrary corruption: every flip either still decodes to a
-  // structurally valid dataset or throws SnapshotError — nothing else.
+TEST(DatasetCodec, PayloadBitFlipsNeverEscapeAsCrashes) {
+  // Below the framing checksum the decoder's own validation (count
+  // bounds, name re-parse, index and rcode ranges, canonical booleans,
+  // rdata tags) must contain arbitrary corruption: every flip either
+  // still decodes to a structurally valid dataset or throws
+  // SnapshotError — nothing else.
   const auto payload = encoded(tiny_dataset());
   fault::Spec spec;
   spec.corrupt = 1.0;
@@ -364,33 +319,73 @@ TEST(ColumnarDataset, PayloadBitFlipsNeverEscapeAsCrashes) {
   }
 }
 
-TEST(ColumnarDataset, UnparsableStoredNameIsASnapshotError) {
-  // Hand-build columns whose arena holds a string no dns::Name accepts;
-  // the row-form decode must reject it instead of materialising nonsense.
-  analysis::DatasetColumns columns;
-  columns.domains.name.push_back(columns.names.intern("bad..name"));
-  columns.domains.rank.push_back(1);
-  columns.domains.axfr.push_back(0);
-  columns.domains.subdomains_probed.push_back(0);
-  columns.domains.cloud_off = {0, 0};
-  columns.domains.other_only.push_back(0);
-  columns.domains.unresolved.push_back(0);
-  columns.domains.failed_off = {0, 0};
-  columns.subdomains.record_off = {0};
-  columns.subdomains.address_off = {0};
-  columns.subdomains.cname_off = {0};
-  columns.subdomains.ns_off = {0};
-  columns.subdomains.ns_addr_off = {0};
-  const auto payload = encoded(columns);
+/// Hand-encodes a dataset with no cloud subdomains and one domain, so a
+/// test can plant exactly one bad field.
+struct OneDomain {
+  std::string label = "example";
+  std::uint8_t axfr = 0;
+  std::vector<std::uint64_t> cloud_subdomains{};
+  std::vector<std::pair<std::uint8_t, std::uint64_t>> failed_lookups{};
+};
+
+std::vector<std::uint8_t> one_domain_payload(const OneDomain& d) {
+  Writer w;
+  w.count(0);  // cloud subdomains
+  w.count(1);  // domains
+  w.count(1);  // name labels
+  w.str(d.label);
+  w.u64(1);  // rank
+  w.u8(d.axfr);
+  w.u64(0);  // subdomains probed
+  w.count(d.cloud_subdomains.size());
+  for (const auto index : d.cloud_subdomains) w.u64(index);
+  w.u64(0);  // other-only subdomains
+  w.count(d.failed_lookups.size());
+  for (const auto& [rcode, count] : d.failed_lookups) {
+    w.u8(rcode);
+    w.u64(count);
+  }
+  w.u64(0);  // unresolved subdomains
+  w.u64(0);  // queries spent
+  return std::move(w).take();
+}
+
+bool decodes(const std::vector<std::uint8_t>& payload) {
   Reader r{payload};
   analysis::AlexaDataset dataset;
-  EXPECT_THROW(decode_artifact(r, dataset), SnapshotError);
+  try {
+    decode_artifact(r, dataset);
+    r.require_done();
+  } catch (const SnapshotError&) {
+    return false;
+  }
+  return true;
+}
+
+TEST(DatasetCodec, UnparsableStoredNameIsASnapshotError) {
+  EXPECT_TRUE(decodes(one_domain_payload({})));
+  // No dns::Name accepts an empty label; the decode must reject it
+  // instead of materialising nonsense.
+  EXPECT_FALSE(decodes(one_domain_payload({.label = ""})));
+  EXPECT_FALSE(decodes(one_domain_payload({.label = "bad..name"})));
+}
+
+TEST(DatasetCodec, OutOfRangeFieldsAreSnapshotErrors) {
+  // A cloud-subdomain index past the subdomain rows.
+  EXPECT_FALSE(decodes(one_domain_payload({.cloud_subdomains = {0}})));
+  // An rcode past the six the failed-lookup ledger models.
+  EXPECT_TRUE(decodes(one_domain_payload({.failed_lookups = {{5, 3}}})));
+  EXPECT_FALSE(decodes(one_domain_payload({.failed_lookups = {{6, 3}}})));
+  // A boolean that is neither 0 nor 1.
+  EXPECT_TRUE(decodes(one_domain_payload({.axfr = 1})));
+  EXPECT_FALSE(decodes(one_domain_payload({.axfr = 2})));
 }
 
 // S4 determinism pin: the dataset builder fans out per-domain probes, so
-// the interned-name ids inside the columnar artifact depend on reduction
-// order — which must be the rank order at every thread count.
-TEST(ColumnarDataset, ArtifactBytesIdenticalAcrossThreadCounts) {
+// the row order inside the artifact (and every cloud-subdomain index)
+// depends on reduction order — which must be the rank order at every
+// thread count.
+TEST(DatasetCodec, ArtifactBytesIdenticalAcrossThreadCounts) {
   synth::WorldConfig config;
   config.seed = 2013;
   config.domain_count = 40;
@@ -414,32 +409,25 @@ TEST(ColumnarDataset, ArtifactBytesIdenticalAcrossThreadCounts) {
 // Partial (mid-stage) dataset checkpoints.
 
 TEST(PartialDataset, RoundTripsWithItsResumePoint) {
-  analysis::PartialDataset partial;
-  partial.columns = analysis::DatasetColumns::from_dataset(tiny_dataset());
-  partial.next_domain = partial.columns.domain_count();
-  expect_roundtrip(partial);
+  expect_roundtrip(tiny_partial());
 }
 
-TEST(PartialDataset, ResumePointMustMatchTheColumns) {
+TEST(PartialDataset, ResumePointMustMatchItsDomains) {
   // A checkpoint always holds exactly the domains probed before
   // next_domain; any disagreement means the file does not describe a
   // resumable state and must be rejected.
-  analysis::PartialDataset partial;
-  partial.columns = analysis::DatasetColumns::from_dataset(tiny_dataset());
-  partial.next_domain = partial.columns.domain_count() + 1;
+  auto partial = tiny_partial();
+  partial.next_domain += 1;
   const auto payload = encoded(partial);
   Reader r{payload};
-  analysis::PartialDataset decoded;
+  analysis::DatasetBuilder::Resume decoded;
   EXPECT_THROW(decode_artifact(r, decoded), SnapshotError);
 }
 
 TEST(Store, RemoveRetiresASnapshot) {
   const auto dir = fresh_dir("snap_store_remove");
   Store store{dir, kHash};
-  analysis::PartialDataset partial;
-  partial.columns = analysis::DatasetColumns::from_dataset(tiny_dataset());
-  partial.next_domain = partial.columns.domain_count();
-  ASSERT_TRUE(store.save("dataset.partial", partial));
+  ASSERT_TRUE(store.save("dataset.partial", tiny_partial()));
   EXPECT_TRUE(std::filesystem::exists(store.path_for("dataset.partial")));
   EXPECT_TRUE(store.remove("dataset.partial"));
   EXPECT_FALSE(std::filesystem::exists(store.path_for("dataset.partial")));

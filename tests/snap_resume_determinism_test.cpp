@@ -1,20 +1,23 @@
 // The cs::snap acceptance gate: a study killed partway and resumed from
 // its checkpoint directory renders byte-identically to an uninterrupted
-// run — at CS_THREADS=1 and CS_THREADS=8, on two seeds. Snapshots carry
-// the artifacts; the stage table's replay hooks re-apply each resumed
-// stage's world side effects (instance launches), so downstream stages
+// run — at CS_THREADS=1 and CS_THREADS=8, on two seeds. Only the dataset
+// persists; loading it has no world side effects, so the resumed run
+// rebuilds every other stage in the same order as an uninterrupted one,
 // and the launch-heavy tables (8, 11) see the exact same universe.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <string_view>
 
+#include "analysis/snapshot.h"
 #include "analysis/widearea.h"
 #include "core/report.h"
 #include "core/study.h"
 #include "exec/config.h"
+#include "snap/store.h"
 
 namespace cs::core {
 namespace {
@@ -51,13 +54,26 @@ std::string render_full(Study& study) {
   return out;
 }
 
+std::filesystem::path fresh_dir(const std::string& name) {
+  const auto dir = std::filesystem::path{testing::TempDir()} / name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+std::set<std::string> files_in(const std::filesystem::path& dir) {
+  std::set<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator{dir})
+    names.insert(entry.path().filename().string());
+  return names;
+}
+
+const std::set<std::string> kOnlyTheDataset = {"dataset.snap"};
+
 class ResumeDeterminism : public testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ResumeDeterminism, ResumedRunMatchesUninterruptedByteForByte) {
   const std::uint64_t seed = GetParam();
   for (const unsigned threads : {1u, 8u}) {
-    SCOPED_TRACE(testing::Message() << "seed " << seed << ", CS_THREADS "
-                                    << threads);
     exec::ScopedThreads guard{threads};
     const auto config = small_config(seed);
 
@@ -68,39 +84,133 @@ TEST_P(ResumeDeterminism, ResumedRunMatchesUninterruptedByteForByte) {
       expected = render_full(study);
     }
 
-    // B: a run "killed" right after capture_logs completes — everything
-    // it knew lives only in the checkpoint directory now.
-    const auto dir =
-        std::filesystem::path{testing::TempDir()} /
-        ("snap_resume_" + std::to_string(seed) + "_" +
-         std::to_string(threads));
-    std::filesystem::remove_all(dir);
-    auto ckpt = config;
-    ckpt.checkpoint_dir = dir.string();
-    {
-      Study interrupted{ckpt};
-      for (const auto& desc : Study::stage_table()) {
-        interrupted.build_stage(desc.name);
-        if (std::string_view{desc.name} == "capture_logs") break;
+    // B: runs "killed" right after capture_logs, and right after
+    // zone_study (whose build launched carto fleets before the crash) —
+    // everything they knew lives only in the checkpoint directory now.
+    for (const std::string_view halt : {"capture_logs", "zone_study"}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << ", CS_THREADS "
+                                      << threads << ", halt after " << halt);
+      const auto dir = fresh_dir("snap_resume_" + std::to_string(seed) + "_" +
+                                 std::to_string(threads) + "_" +
+                                 std::string{halt});
+      auto ckpt = config;
+      ckpt.checkpoint_dir = dir.string();
+      {
+        Study interrupted{ckpt};
+        for (const auto& desc : Study::stage_table()) {
+          interrupted.build_stage(desc.name);
+          if (desc.name == halt) break;
+        }
+      }
+      EXPECT_EQ(files_in(dir), kOnlyTheDataset);
+
+      // A fresh process-equivalent resumes the dataset from disk and
+      // rebuilds the rest; the output must not move by a byte.
+      {
+        Study resumed{ckpt};
+        EXPECT_EQ(render_full(resumed), expected);
+        EXPECT_EQ(resumed.stages_resumed(), 1u);
+      }
+
+      // C: a finished run leaves nothing more behind, and a third run
+      // resumes the same one stage and still renders identically.
+      EXPECT_EQ(files_in(dir), kOnlyTheDataset);
+      {
+        Study full{ckpt};
+        EXPECT_EQ(render_full(full), expected);
+        EXPECT_EQ(full.stages_resumed(), 1u);
       }
     }
-
-    // A fresh process-equivalent resumes the first five stages from disk
-    // and builds the rest; the output must not move by a byte.
-    {
-      Study resumed{ckpt};
-      EXPECT_EQ(render_full(resumed), expected);
-      EXPECT_EQ(resumed.stages_resumed(), 5u);
-    }
-
-    // C: by now every stage is snapshotted; a third run resumes all nine
-    // and still renders identically.
-    {
-      Study full{ckpt};
-      EXPECT_EQ(render_full(full), expected);
-      EXPECT_EQ(full.stages_resumed(), Study::stage_table().size());
-    }
   }
+}
+
+// A run killed inside the dataset stage: Study::dataset() must pick up
+// "dataset.partial", finish the remaining chunks, land on the
+// uninterrupted bytes, and retire the partial once the whole dataset is
+// on disk.
+TEST_P(ResumeDeterminism, MidDatasetPartialResumesToTheSameBytes) {
+  const std::uint64_t seed = GetParam();
+  const auto config = small_config(seed);
+
+  std::string expected;
+  std::uint64_t hash = 0;
+  {
+    Study study{config};
+    expected = render_full(study);
+    hash = study.config_hash();
+  }
+
+  // The partial a 20-domain-chunk build checkpoints at its second chunk
+  // boundary.
+  analysis::DatasetBuilder::Resume partial;
+  {
+    synth::World world{config.world};
+    auto options = config.dataset;
+    options.chunk_domains = 20;
+    options.on_chunk = [&](const analysis::DatasetBuilder::Resume& so_far) {
+      if (so_far.next_domain == 40) partial = so_far;
+    };
+    analysis::DatasetBuilder{world, options}.build();
+  }
+  ASSERT_EQ(partial.next_domain, 40u);
+  ASSERT_EQ(partial.dataset.domains.size(), 40u);
+
+  const auto dir = fresh_dir("snap_resume_partial_" + std::to_string(seed));
+  ASSERT_TRUE(snap::Store(dir, hash).save("dataset.partial", partial));
+
+  auto ckpt = config;
+  ckpt.checkpoint_dir = dir.string();
+  Study resumed{ckpt};
+  EXPECT_EQ(render_full(resumed), expected);
+  // The partial was a resume point inside the stage, not a finished one.
+  EXPECT_EQ(resumed.stages_resumed(), 0u);
+  bool loaded_partial = false;
+  for (const auto& event : resumed.checkpoint_store()->events())
+    loaded_partial |= event.kind == snap::Event::Kind::kLoaded &&
+                      event.stage == "dataset.partial";
+  EXPECT_TRUE(loaded_partial);
+  EXPECT_EQ(files_in(dir), kOnlyTheDataset);
+}
+
+// A run whose full dataset save fails (here: its temp file's path is
+// taken by a directory, which stops the open even for root) must keep
+// "dataset.partial": retiring it would let a later crash lose the whole
+// census. The run itself still renders the uninterrupted bytes.
+TEST_P(ResumeDeterminism, FailedFullSaveKeepsThePartial) {
+  const std::uint64_t seed = GetParam();
+  const auto config = small_config(seed);
+
+  std::string expected;
+  {
+    Study study{config};
+    expected = render_full(study);
+  }
+
+  const auto dir = fresh_dir("snap_resume_failed_save_" + std::to_string(seed));
+  std::filesystem::create_directories(dir / "dataset.snap.tmp");
+
+  auto ckpt = config;
+  ckpt.checkpoint_dir = dir.string();
+  ckpt.dataset.chunk_domains = 20;
+  {
+    Study study{ckpt};
+    EXPECT_EQ(render_full(study), expected);
+    bool saved_full = false;
+    for (const auto& event : study.checkpoint_store()->events())
+      saved_full |= event.kind == snap::Event::Kind::kSaved &&
+                    event.stage == "dataset";
+    EXPECT_FALSE(saved_full);
+  }
+  EXPECT_EQ(files_in(dir),
+            (std::set<std::string>{"dataset.partial.snap",
+                                   "dataset.snap.tmp"}));
+
+  // Once the disk is writable again, a resumed run picks up the partial
+  // and lands on the same bytes.
+  std::filesystem::remove(dir / "dataset.snap.tmp");
+  Study resumed{ckpt};
+  EXPECT_EQ(render_full(resumed), expected);
+  EXPECT_EQ(files_in(dir), kOnlyTheDataset);
 }
 
 INSTANTIATE_TEST_SUITE_P(TwoSeeds, ResumeDeterminism,
