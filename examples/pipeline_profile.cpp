@@ -5,14 +5,17 @@
 //
 //   ./examples/pipeline_profile [domain_count]
 //
+// domain_count defaults to CS_DOMAINS, then 1500. A malformed or zero
+// count, a flag, or a second argument prints the usage line and exits 2.
+//
 // Set CS_TRACE=out.json to additionally write the Chrome trace-event file
 // (open it in chrome://tracing or https://ui.perfetto.dev — the RSS and
 // queue-depth counter lanes sampled at stage boundaries render there
 // too), and CS_BENCH_JSON=out.json to write the full obs::RunReport
 // sidecar, the same shape the bench binaries feed into csbench.
-#include <cstdlib>
 #include <iostream>
 #include <string>
+#include <string_view>
 
 #include "core/study.h"
 #include "exec/config.h"
@@ -30,8 +33,24 @@ int main(int argc, char** argv) {
   obs::Tracer::instance().enable_collection();
 
   core::StudyConfig config;
-  config.world.domain_count =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1500;
+  config.world.domain_count = 1500;
+  if (argc > 1) {
+    const std::string_view arg = argv[1];
+    const auto domains = util::parse_env_unsigned(arg);
+    if (argc > 2 || arg.starts_with('-') || !domains || *domains == 0) {
+      std::cerr << "usage: pipeline_profile [domain_count]\n";
+      return 2;
+    }
+    config.world.domain_count = *domains;
+  } else if (const auto env = util::env_text(util::Knob::kDomains)) {
+    const auto domains = util::parse_env_unsigned(*env);
+    if (domains && *domains > 0)
+      config.world.domain_count = *domains;
+    else
+      std::cerr << util::env_malformed(util::Knob::kDomains, *env,
+                                       "a positive integer")
+                << "\n";
+  }
 
   std::cout << util::fmt("Profiling the full pipeline over {} domains...\n\n",
                          config.world.domain_count);

@@ -3,21 +3,33 @@
 //
 //   ./examples/quickstart [domain_count]
 //
+// domain_count defaults to 800. A malformed or zero count, a flag, or a
+// second argument prints the usage line and exits 2.
+//
 // This is the five-minute tour of the public API: World (the simulated
 // internet), Study (the cached pipeline), and the report renderers.
-#include <cstdlib>
 #include <iostream>
+#include <string_view>
 
 #include "core/report.h"
 #include "core/study.h"
+#include "util/env.h"
 #include "util/format.h"
 
 int main(int argc, char** argv) {
   using namespace cs;
 
   core::StudyConfig config;
-  config.world.domain_count =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 800;
+  config.world.domain_count = 800;
+  if (argc > 1) {
+    const std::string_view arg = argv[1];
+    const auto domains = util::parse_env_unsigned(arg);
+    if (argc > 2 || arg.starts_with('-') || !domains || *domains == 0) {
+      std::cerr << "usage: quickstart [domain_count]\n";
+      return 2;
+    }
+    config.world.domain_count = *domains;
+  }
   config.traffic.total_web_bytes = 16ull * 1024 * 1024;
 
   std::cout << "Building a universe of " << config.world.domain_count

@@ -533,9 +533,9 @@ std::string render_data_quality(Study& study) {
     const auto& s = plan->spec();
     head += util::fmt(
         "loss={} timeout={} truncate={} servfail={} corrupt={} "
-        "vantage_drop={} stage_abort={} seed={}",
+        "vantage_drop={} seed={}",
         s.loss, s.timeout, s.truncate, s.servfail, s.corrupt,
-        s.vantage_drop, s.stage_abort, s.seed);
+        s.vantage_drop, s.seed);
   } else {
     head += "none (CS_FAULT unset)";
   }
@@ -554,8 +554,9 @@ std::string render_data_quality(Study& study) {
   }
   head += "\n";
   if (const auto& store = study.checkpoint_store())
-    head += util::fmt("Checkpoints: {} (config hash 0x{:x})\n",
-                      store->dir().string(), store->config_hash());
+    head += util::fmt("Checkpoints: {} (config hash 0x{:x}); dataset {}\n",
+                      store->dir().string(), store->config_hash(),
+                      study.stages_resumed() > 0 ? "resumed" : "built");
   else
     head += "Checkpoints: off (no --checkpoint / CS_CHECKPOINT)\n";
 
@@ -602,35 +603,13 @@ std::string render_data_quality(Study& study) {
   t.add("Truncated capture frames", snapshot.counter("fault.pcap.truncated"));
   t.add("Corrupted capture frames", snapshot.counter("fault.pcap.corrupted"));
   t.add("Campaign vantage-rounds dropped", campaign.total_dropped_rounds());
-  t.add("Injected stage aborts", snapshot.counter("fault.stage.abort"));
-  t.add("Stage retries", snapshot.counter("snap.supervisor.retries"));
-
-  // Per-stage supervision ledger: how each artifact came to be.
-  Table stages{{"Stage", "Status", "Attempts", "Notes"}};
-  stages.caption("Stage supervision: builds, resumes, and degradations");
-  for (const auto& desc : Study::stage_table()) {
-    const snap::StageRun* run = nullptr;
-    for (const auto& r : study.stage_runs())
-      if (r.stage == desc.name) run = &r;
-    if (!run) {
-      stages.add(desc.name, "not built", 0, "");
-      continue;
-    }
-    const char* status = run->degraded       ? "DEGRADED"
-                         : run->from_snapshot ? "resumed"
-                                              : "built";
-    std::string notes;
-    if (run->deadline_hit) notes += "deadline hit; ";
-    if (!run->last_error.empty()) notes += run->last_error;
-    stages.add(run->stage, status, run->attempts, notes);
-  }
   std::string rejected;
   if (const auto& store = study.checkpoint_store())
     for (const auto& event : store->events())
       if (event.kind == snap::Event::Kind::kRejected)
         rejected += util::fmt("Rejected snapshot '{}': {}\n", event.stage,
                               event.detail);
-  return head + t.render() + "\n" + stages.render() + rejected;
+  return head + t.render() + rejected;
 }
 
 }  // namespace cs::core

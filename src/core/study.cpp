@@ -35,27 +35,22 @@ class StageScope {
   std::uint64_t start_us_ = 0;
 };
 
-constexpr const char* kDepsDataset[] = {"dataset"};
-constexpr const char* kDepsCaptureLogs[] = {"capture_logs"};
-
-/// Canonical build order. Every supervised stage appears here; deps name
-/// the stages it forces first.
+/// Canonical build order; every stage appears here.
 constexpr Study::StageDesc kStageTable[] = {
-    {"dataset", {}},
-    {"cloud_usage", kDepsDataset},
-    {"patterns", kDepsDataset},
-    {"regions", kDepsDataset},
-    {"capture_logs", {}},
-    {"capture", kDepsCaptureLogs},
-    {"zone_study", kDepsDataset},
-    {"campaign", {}},
-    {"isp_study", {}},
+    {"dataset"},
+    {"cloud_usage"},
+    {"patterns"},
+    {"regions"},
+    {"capture_logs"},
+    {"capture"},
+    {"zone_study"},
+    {"campaign"},
+    {"isp_study"},
 };
 
 }  // namespace
 
-Study::Study(StudyConfig config)
-    : config_(std::move(config)), supervisor_(config_.supervision) {
+Study::Study(StudyConfig config) : config_(std::move(config)) {
   {
     StageScope stage{"study.world"};
     world_ = std::make_unique<synth::World>(config_.world);
@@ -97,8 +92,8 @@ Study::~Study() {
 std::uint64_t Study::config_hash() const {
   // Only fields that shape the persisted dataset participate. Traffic,
   // campaign and ISP scale shape stages that are rebuilt on every run;
-  // checkpoint_dir, supervision, and transport steer *how* stages run (or
-  // which wire carries the bytes), never what the dataset holds.
+  // checkpoint_dir and transport steer where snapshots live and which
+  // wire carries the bytes, never what the dataset holds.
   snap::Writer w;
   w.u64(config_.world.seed);
   w.u64(config_.world.domain_count);
@@ -120,10 +115,8 @@ template <typename T, typename Build>
 const T& Study::stage(const char* name, std::optional<T>& slot,
                       Build&& build) {
   if (slot) return *slot;
-  auto& run = stage_runs_.emplace_back();
-  run.stage = name;
   StageScope scope{std::string{"study."} + name};
-  slot = supervisor_.run(run, build, [] { return T{}; });
+  slot = build();
   return *slot;
 }
 
@@ -153,9 +146,7 @@ const analysis::AlexaDataset& Study::dataset() {
   // their instance launches happen exactly as in an uninterrupted run.
   if (!dataset_ && store_) {
     if (auto loaded = store_->load<analysis::AlexaDataset>("dataset")) {
-      auto& run = stage_runs_.emplace_back();
-      run.stage = "dataset";
-      run.from_snapshot = true;
+      dataset_resumed_ = true;
       obs::counter("study.stages_resumed").inc();
       dataset_ = std::move(*loaded);
     }
@@ -246,17 +237,14 @@ internet::AsTopology& Study::as_topology() {
 const analysis::ZoneStudy& Study::zone_study() {
   return stage("zone_study", zone_study_, [&] {
     const auto& data = dataset();
-    if (!proximity_)
-      proximity_.emplace(
-          world_->ec2(),
-          carto::ProximityEstimator::Options{.seed = config_.world.seed ^ 1});
-    if (!latency_)
-      latency_.emplace(
-          world_->ec2(), wan_model(),
-          carto::LatencyZoneEstimator::Options{.seed =
-                                                   config_.world.seed ^ 2});
-    return analysis::run_zone_study(data, ranges(), *world_, *proximity_,
-                                    *latency_);
+    carto::ProximityEstimator proximity{
+        world_->ec2(),
+        carto::ProximityEstimator::Options{.seed = config_.world.seed ^ 1}};
+    carto::LatencyZoneEstimator latency{
+        world_->ec2(), wan_model(),
+        carto::LatencyZoneEstimator::Options{.seed = config_.world.seed ^ 2}};
+    return analysis::run_zone_study(data, ranges(), *world_, proximity,
+                                    latency);
   });
 }
 
@@ -297,13 +285,6 @@ bool Study::build_stage(std::string_view name) {
 
 void Study::build_all() {
   for (const auto& desc : stage_table()) build_stage(desc.name);
-}
-
-std::size_t Study::stages_resumed() const noexcept {
-  std::size_t n = 0;
-  for (const auto& run : stage_runs_)
-    if (run.from_snapshot) ++n;
-  return n;
 }
 
 }  // namespace cs::core

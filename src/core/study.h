@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -21,13 +20,11 @@
 #include "internet/traceroute.h"
 #include "netio/loopback.h"
 #include "snap/store.h"
-#include "snap/supervisor.h"
 #include "synth/traffic.h"
 #include "synth/world.h"
 
 /// CloudScope's front door: one object that owns the simulated universe
-/// and runs each stage of the paper's pipeline under supervision —
-/// bounded retries, optional graceful degradation — caching results in
+/// and runs each stage of the paper's pipeline once, caching results in
 /// memory. When a checkpoint directory is configured, the one expensive
 /// stage, the §2.1 dataset, is also kept on disk (whole and mid-build),
 /// so a killed run resumes the census instead of starting over; every
@@ -54,10 +51,6 @@ struct StudyConfig {
   /// from the config hash: pointing two runs of the same study at
   /// different directories must not invalidate their snapshots.
   std::string checkpoint_dir;
-  /// Retry/deadline/degradation policy for every supervised stage.
-  /// Also excluded from the hash — supervision changes how a stage is
-  /// driven, never what a completed stage produced.
-  snap::SupervisorOptions supervision;
 
   /// Which wire carries resolver traffic: the in-process simulated
   /// network or the netio live-socket backend (real localhost UDP).
@@ -99,15 +92,14 @@ class Study {
   internet::WideAreaModel& wan_model();
   internet::AsTopology& as_topology();
 
-  // --- stage table & supervision ----------------------------------------
+  // --- stage table -------------------------------------------------------
 
-  /// One supervised stage: its name and the stages it forces first.
+  /// One pipeline stage, by name.
   struct StageDesc {
     const char* name;
-    std::span<const char* const> deps;
   };
-  /// Every supervised stage in canonical build order. (ranges/rank_map/
-  /// wan_model/as_topology are cheap derived views, not stages.)
+  /// Every stage in canonical build order. (ranges/rank_map/wan_model/
+  /// as_topology are cheap derived views, not stages.)
   static std::span<const StageDesc> stage_table();
 
   /// Builds (or resumes) the named stage; false if the name is unknown.
@@ -115,16 +107,13 @@ class Study {
   /// Builds (or resumes) every stage in table order.
   void build_all();
 
-  /// Per-stage supervision records, in the order stages were entered.
-  /// A deque so records stay stable while nested stage builds append.
-  const std::deque<snap::StageRun>& stage_runs() const noexcept {
-    return stage_runs_;
-  }
-  std::size_t stages_resumed() const noexcept;
+  /// Stages loaded from a checkpoint: 1 when the dataset resumed, else 0
+  /// (no other stage persists).
+  std::size_t stages_resumed() const noexcept { return dataset_resumed_; }
 
   /// FNV-1a over every config field that shapes the persisted dataset
   /// (world and dataset options). Snapshots bind to this; traffic,
-  /// campaign and ISP scale, checkpoint_dir and supervision do not
+  /// campaign and ISP scale, checkpoint_dir and transport do not
   /// participate, so changing them never throws away a finished census.
   std::uint64_t config_hash() const;
 
@@ -141,8 +130,9 @@ class Study {
 
  private:
   /// The lazy-build skeleton every stage accessor shares: unless `slot`
-  /// is already filled, runs `build` under the supervisor and caches the
-  /// result there.
+  /// is already filled, runs `build` once and caches the result there. An
+  /// exception from `build` propagates unchanged and leaves `slot` empty,
+  /// so a later call builds again.
   template <typename T, typename Build>
   const T& stage(const char* name, std::optional<T>& slot, Build&& build);
 
@@ -152,8 +142,7 @@ class Study {
   /// it stops before the network it serves is torn down.
   std::unique_ptr<netio::LoopbackDns> loopback_;
   std::optional<snap::Store> store_;
-  snap::Supervisor supervisor_;
-  std::deque<snap::StageRun> stage_runs_;
+  bool dataset_resumed_ = false;
   std::optional<analysis::CloudRanges> ranges_;
   std::optional<std::map<std::string, std::size_t>> rank_map_;
   std::optional<analysis::AlexaDataset> dataset_;
@@ -167,11 +156,6 @@ class Study {
   std::optional<analysis::IspStudy> isp_study_;
   std::optional<internet::WideAreaModel> wan_model_;
   std::optional<internet::AsTopology> as_topology_;
-  /// Built once per study, not per zone_study attempt: their
-  /// constructors launch carto probe fleets, which a supervised retry
-  /// must not launch twice.
-  std::optional<carto::ProximityEstimator> proximity_;
-  std::optional<carto::LatencyZoneEstimator> latency_;
 };
 
 }  // namespace cs::core

@@ -127,9 +127,10 @@ class SimulatedDnsNetwork final : public DnsTransport {
   std::unordered_map<std::uint32_t, Entry> servers_;
   Observer observer_;
   mutable std::atomic<std::uint64_t> query_count_{0};
-#ifndef NDEBUG
+  /// Declared in every build so the class layout does not depend on
+  /// NDEBUG (a debug program may link release libraries); only the
+  /// counting and the assert are debug-only.
   mutable std::atomic<int> active_exchanges_{0};
-#endif
 };
 
 }  // namespace cs::dns

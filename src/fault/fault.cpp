@@ -11,7 +11,7 @@
 namespace cs::fault {
 namespace {
 
-/// Per-kind salts so the seven decision families draw from unrelated
+/// Per-kind salts so the six decision families draw from unrelated
 /// ShardedRng roots even under one spec seed.
 constexpr std::uint64_t kKindSalt[kKindCount] = {
     0x10551055F001F001ULL,  // loss
@@ -20,7 +20,6 @@ constexpr std::uint64_t kKindSalt[kKindCount] = {
     0x5EF41150BADC0DE5ULL,  // servfail
     0xC0442070C0442070ULL,  // corrupt
     0xD20902D20902FA11ULL,  // vantage drop
-    0x57A6EAB027ABA6E5ULL,  // stage abort
 };
 
 constexpr std::size_t index(Kind kind) noexcept {
@@ -56,7 +55,6 @@ const char* to_string(Kind kind) noexcept {
     case Kind::kServFail: return "servfail";
     case Kind::kCorrupt: return "corrupt";
     case Kind::kVantageDrop: return "vantage_drop";
-    case Kind::kStageAbort: return "stage_abort";
   }
   return "unknown";
 }
@@ -69,14 +67,13 @@ double Spec::rate(Kind kind) const noexcept {
     case Kind::kServFail: return servfail;
     case Kind::kCorrupt: return corrupt;
     case Kind::kVantageDrop: return vantage_drop;
-    case Kind::kStageAbort: return stage_abort;
   }
   return 0.0;
 }
 
 bool Spec::any() const noexcept {
   return loss > 0.0 || timeout > 0.0 || truncate > 0.0 || servfail > 0.0 ||
-         corrupt > 0.0 || vantage_drop > 0.0 || stage_abort > 0.0;
+         corrupt > 0.0 || vantage_drop > 0.0;
 }
 
 std::optional<Spec> Spec::parse(std::string_view text) noexcept {
@@ -113,8 +110,6 @@ std::optional<Spec> Spec::parse(std::string_view text) noexcept {
     else if (key == "corrupt") slot = &spec.corrupt, kind = index(Kind::kCorrupt);
     else if (key == "vantage_drop")
       slot = &spec.vantage_drop, kind = index(Kind::kVantageDrop);
-    else if (key == "stage_abort")
-      slot = &spec.stage_abort, kind = index(Kind::kStageAbort);
     else
       return std::nullopt;
     if (seen[kind]) return std::nullopt;
@@ -133,8 +128,7 @@ Plan::Plan(Spec spec) noexcept
              exec::ShardedRng{spec.seed ^ kKindSalt[2]},
              exec::ShardedRng{spec.seed ^ kKindSalt[3]},
              exec::ShardedRng{spec.seed ^ kKindSalt[4]},
-             exec::ShardedRng{spec.seed ^ kKindSalt[5]},
-             exec::ShardedRng{spec.seed ^ kKindSalt[6]}} {}
+             exec::ShardedRng{spec.seed ^ kKindSalt[5]}} {}
 
 bool Plan::decide(Kind kind, std::uint64_t key) const noexcept {
   const double rate = spec_.rate(kind);
@@ -187,7 +181,7 @@ const Plan* init_plan_from_env() noexcept {
           util::env_malformed(
               util::Knob::kFault, *env,
               "loss=P,timeout=P,truncate=P,servfail=P[,corrupt=P]"
-              "[,vantage_drop=P][,stage_abort=P][,seed=N] with P in [0,1]"));
+              "[,vantage_drop=P][,seed=N] with P in [0,1]"));
     g_state.store(0, std::memory_order_release);
     return nullptr;
   }

@@ -44,9 +44,8 @@ enum class Kind : std::uint8_t {
   kServFail,     ///< authoritative server answers SERVFAIL
   kCorrupt,      ///< frame bytes flipped in place
   kVantageDrop,  ///< campaign vantage offline for a whole round
-  kStageAbort,   ///< pipeline stage dies before producing its artifact
 };
-inline constexpr std::size_t kKindCount = 7;
+inline constexpr std::size_t kKindCount = 6;
 
 const char* to_string(Kind kind) noexcept;
 
@@ -58,16 +57,14 @@ struct Spec {
   double servfail = 0.0;
   double corrupt = 0.0;
   double vantage_drop = 0.0;
-  double stage_abort = 0.0;
   std::uint64_t seed = 0xC10D5FA17ULL;
 
   double rate(Kind kind) const noexcept;
   bool any() const noexcept;
 
   /// Strictly parses a `key=value,key=value` spec (the CS_FAULT syntax).
-  /// Keys: loss, timeout, truncate, servfail, corrupt, vantage_drop,
-  /// stage_abort (probabilities in [0,1]) and seed (u64). Unknown keys,
-  /// out-of-range
+  /// Keys: loss, timeout, truncate, servfail, corrupt, vantage_drop
+  /// (probabilities in [0,1]) and seed (u64). Unknown keys, out-of-range
   /// rates, duplicate keys, or trailing garbage reject the whole spec —
   /// a misread fault rate would silently change every downstream number.
   static std::optional<Spec> parse(std::string_view text) noexcept;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "analysis/snapshot.h"
 #include "core/report.h"
 
 namespace cs::core {
@@ -144,6 +149,45 @@ TEST(StudyConfigHash, CoversTheDatasetInputsOnly) {
   auto fewer_vantages = base;
   fewer_vantages.dataset.lookup_vantages = 2;
   EXPECT_NE(hash(fewer_vantages), reference);
+}
+
+struct ChunkHookFailure {};
+
+std::vector<std::uint8_t> dataset_bytes(const analysis::AlexaDataset& data) {
+  snap::Writer w;
+  snap::encode_artifact(w, data);
+  return std::move(w).take();
+}
+
+// A stage runs once: an exception from its build reaches the caller
+// unchanged, after a single attempt, and leaves the stage unbuilt, so the
+// next call builds it from scratch. The throw comes from the dataset's
+// chunk hook, which Study leaves in place when no checkpoint store exists.
+TEST(StudyStage, FailedBuildPropagatesOnceAndLeavesTheStageUnbuilt) {
+  StudyConfig config;
+  config.world.domain_count = 40;
+  config.dataset.lookup_vantages = 2;
+  config.dataset.chunk_domains = 5;
+  bool armed = true;
+  int armed_calls = 0;
+  config.dataset.on_chunk = [&](const analysis::DatasetBuilder::Resume&) {
+    if (!armed) return;
+    ++armed_calls;
+    throw ChunkHookFailure{};
+  };
+  Study study{config};
+  ASSERT_FALSE(study.checkpoint_store().has_value());
+
+  EXPECT_THROW(study.dataset(), ChunkHookFailure);
+  EXPECT_EQ(armed_calls, 1);
+
+  armed = false;
+  const auto rebuilt = dataset_bytes(study.dataset());
+  EXPECT_EQ(armed_calls, 1);
+
+  config.dataset.on_chunk = nullptr;
+  Study fresh{config};
+  EXPECT_EQ(rebuilt, dataset_bytes(fresh.dataset()));
 }
 
 }  // namespace

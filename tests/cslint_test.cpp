@@ -88,12 +88,14 @@ int lifetime(int x) { return x; }        // 'time' substring, distinct token
   EXPECT_TRUE(run({source}).empty());
 }
 
-TEST(CslintD1, ObsSnapAndRngAreAllowlisted) {
+TEST(CslintD1, ObsAndRngAreAllowlisted) {
   const std::string body =
       "long f() { return std::chrono::steady_clock::now()"
       ".time_since_epoch().count(); }\n";
   EXPECT_TRUE(run({{"src/obs/fixture.cpp", body}}).empty());
-  EXPECT_TRUE(run({{"src/snap/fixture.cpp", body}}).empty());
+  EXPECT_TRUE(run({{"src/util/rng_fixture.cpp", body}}).empty());
+  // Checkpointing is pure I/O: snap/ gets no clock exemption.
+  EXPECT_EQ(count_check(run({{"src/snap/fixture.cpp", body}}), "D1"), 1u);
   EXPECT_FALSE(run({{"src/core/fixture.cpp", body}}).empty());
 }
 
@@ -342,6 +344,37 @@ TEST(CslintK1, MalformedRegistryEntryIsFlagged) {
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].check, "K1");
   EXPECT_NE(findings[0].message.find("malformed"), std::string::npos);
+}
+
+TEST(CslintK1, ReadmeDefaultThatDiffersFromTheRegistryIsFlagged) {
+  const auto findings = run({
+      {"src/core/fixture.cpp",
+       "bool f() { return env_text(\"CS_FIXTURE_KNOB\").has_value(); }\n"},
+      {"src/util/knobs.def", kFixtureRegistry},
+      {"README.md",
+       "| knob | kind | default | what it does |\n"
+       "|---|---|---|---|\n"
+       "| `CS_FIXTURE_KNOB` | flag | 1 | fixture |\n"},
+  });
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].check, "K1");
+  EXPECT_EQ(findings[0].file, "README.md");
+  EXPECT_EQ(findings[0].line, 3);
+  EXPECT_NE(findings[0].message.find("'1'"), std::string::npos);
+  EXPECT_NE(findings[0].message.find("'0'"), std::string::npos);
+}
+
+TEST(CslintK1, ReadmeDefaultEqualToTheRegistryPasses) {
+  const auto findings = run({
+      {"src/core/fixture.cpp",
+       "bool f() { return env_text(\"CS_FIXTURE_KNOB\").has_value(); }\n"},
+      {"src/util/knobs.def", kFixtureRegistry},
+      {"README.md",
+       "| knob | kind | default | what it does |\n"
+       "|---|---|---|---|\n"
+       "| `CS_FIXTURE_KNOB` | flag | 0 | fixture |\n"},
+  });
+  EXPECT_TRUE(findings.empty());
 }
 
 TEST(CslintK1, TestsMayUseFixtureKnobs) {

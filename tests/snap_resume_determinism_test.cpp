@@ -110,6 +110,8 @@ TEST_P(ResumeDeterminism, ResumedRunMatchesUninterruptedByteForByte) {
         Study resumed{ckpt};
         EXPECT_EQ(render_full(resumed), expected);
         EXPECT_EQ(resumed.stages_resumed(), 1u);
+        EXPECT_NE(render_data_quality(resumed).find("; dataset resumed\n"),
+                  std::string::npos);
       }
 
       // C: a finished run leaves nothing more behind, and a third run
@@ -164,6 +166,8 @@ TEST_P(ResumeDeterminism, MidDatasetPartialResumesToTheSameBytes) {
   EXPECT_EQ(render_full(resumed), expected);
   // The partial was a resume point inside the stage, not a finished one.
   EXPECT_EQ(resumed.stages_resumed(), 0u);
+  EXPECT_NE(render_data_quality(resumed).find("; dataset built\n"),
+            std::string::npos);
   bool loaded_partial = false;
   for (const auto& event : resumed.checkpoint_store()->events())
     loaded_partial |= event.kind == snap::Event::Kind::kLoaded &&

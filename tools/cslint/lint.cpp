@@ -176,16 +176,15 @@ bool is_header(std::string_view path) {
 
 bool in_src(std::string_view path) { return starts_with(path, "src/"); }
 
-// D1 allowlist: obs/ measures wall time by design, snap/ owns retry
-// backoff and stage deadlines, util/rng is where seeds are minted, and
-// netio's reactor is an event loop whose epoll timeouts and retransmit
-// deadlines are real monotonic time by definition — transport timing is
-// explicitly outside the determinism contract (answer bytes stay a pure
-// function of the seed). Only the reactor core is sanctioned; the rest
-// of src/netio/ must route through obs::steady_now_us() or annotate.
+// D1 allowlist: obs/ measures wall time by design, util/rng is where
+// seeds are minted, and netio's reactor is an event loop whose epoll
+// timeouts and retransmit deadlines are real monotonic time by
+// definition — transport timing is explicitly outside the determinism
+// contract (answer bytes stay a pure function of the seed). Only the
+// reactor core is sanctioned; the rest of src/netio/ must route through
+// obs::steady_now_us() or annotate.
 bool d1_exempt(std::string_view path) {
-  return starts_with(path, "src/obs/") || starts_with(path, "src/snap/") ||
-         starts_with(path, "src/util/rng") ||
+  return starts_with(path, "src/obs/") || starts_with(path, "src/util/rng") ||
          starts_with(path, "src/netio/reactor");
 }
 
@@ -591,10 +590,11 @@ void check_reactor_blocking(const std::string& path,
 // K1: the CS_* knob registry (src/util/knobs.def) vs the tree. Every CS_*
 // name the code references must be registered, every registered knob must
 // still be referenced (by env-var name or by its Knob enum id) and must be
-// documented in README.md, and the docs must not mention unregistered
-// knobs. CS_* tokens that are #define'd anywhere in the corpus (annotation
-// macros, the CS_KNOB X-macro itself) and prefix mentions ("CS_NETIO_…",
-// trailing underscore) are exempt.
+// documented in README.md, the default cell of a knob's README table row
+// must equal the registry's default string verbatim, and the docs must
+// not mention unregistered knobs. CS_* tokens that are #define'd anywhere
+// in the corpus (annotation macros, the CS_KNOB X-macro itself) and
+// prefix mentions ("CS_NETIO_…", trailing underscore) are exempt.
 // ---------------------------------------------------------------------------
 
 struct KnobSite {
@@ -627,8 +627,9 @@ void collect_knobs(const Source& source, std::map<std::string, KnobSite>* out) {
 }
 
 struct RegistryEntry {
-  std::string id;    // Knob enum constant, e.g. kThreads
-  std::string name;  // env-var name, e.g. CS_THREADS
+  std::string id;            // Knob enum constant, e.g. kThreads
+  std::string name;          // env-var name, e.g. CS_THREADS
+  std::string default_text;  // e.g. "hardware concurrency"
   int line = 0;
 };
 
@@ -656,7 +657,14 @@ std::vector<RegistryEntry> parse_registry(const Source& registry,
         open == std::string::npos ? open : text.find('"', open + 1);
     if (close != std::string::npos)
       entry.name = text.substr(open + 1, close - open - 1);
-    if (entry.id.empty() || !starts_with(entry.name, "CS_")) {
+    // The default is the next string literal after the name (the kind
+    // between them is a bare identifier).
+    const std::size_t def_open =
+        close == std::string::npos ? close : text.find('"', close + 1);
+    const std::size_t def_close =
+        def_open == std::string::npos ? def_open : text.find('"', def_open + 1);
+    if (entry.id.empty() || !starts_with(entry.name, "CS_") ||
+        def_close == std::string::npos) {
       // "CS_" + "NAME" is split so this placeholder never registers as a
       // knob mention in cslint's own source.
       add(report, registry.path, line, "K1",
@@ -664,9 +672,37 @@ std::vector<RegistryEntry> parse_registry(const Source& registry,
               "CS_" + "NAME\", kind, \"default\", \"doc\")");
       continue;
     }
+    entry.default_text = text.substr(def_open + 1, def_close - def_open - 1);
     entries.push_back(std::move(entry));
   }
   return entries;
+}
+
+struct ReadmeRow {
+  std::string default_text;
+  int line = 0;
+};
+
+// README knob-table rows (`| `<knob>` | kind | default | doc |`), keyed
+// by knob name.
+std::map<std::string, ReadmeRow> parse_readme_rows(const Source& readme) {
+  std::map<std::string, ReadmeRow> rows;
+  std::istringstream in{readme.text};
+  std::string raw;
+  int line = 0;
+  while (std::getline(in, raw)) {
+    ++line;
+    const std::string text = trim(raw);
+    if (!starts_with(text, "| `CS_")) continue;
+    std::vector<std::string> cells;
+    std::size_t start = 1;
+    for (std::size_t bar; (bar = text.find('|', start)) != std::string::npos;
+         start = bar + 1)
+      cells.push_back(trim(text.substr(start, bar - start)));
+    if (cells.size() < 3 || cells[0].size() < 2) continue;
+    rows[cells[0].substr(1, cells[0].size() - 2)] = {cells[2], line};
+  }
+  return rows;
 }
 
 // Whole-word occurrence of `word` anywhere in `text`.
@@ -712,6 +748,9 @@ void check_knob_registry(const std::vector<Source>& sources,
       parse_registry(*registry, reports[registry->path]);
   std::set<std::string> registered;
   for (const auto& entry : entries) registered.insert(entry.name);
+  const std::map<std::string, ReadmeRow> readme_rows =
+      readme != nullptr ? parse_readme_rows(*readme)
+                        : std::map<std::string, ReadmeRow>{};
 
   auto exempt = [&](const std::string& word) {
     return word.back() == '_' ||  // prefix mention: "the CS_NETIO_ family"
@@ -752,6 +791,13 @@ void check_knob_registry(const std::vector<Source>& sources,
           "'" + entry.name +
               "' is registered but not documented in README.md's knob "
               "table");
+    const auto row = readme_rows.find(entry.name);
+    if (row != readme_rows.end() &&
+        row->second.default_text != entry.default_text)
+      add(reports[readme->path], readme->path, row->second.line, "K1",
+          "README.md's knob table gives '" + entry.name + "' the default '" +
+              row->second.default_text + "', but src/util/knobs.def says '" +
+              entry.default_text + "' — copy the registry string verbatim");
   }
 }
 

@@ -15,8 +15,8 @@
 ///
 ///   D1  determinism: rand/srand, std::random_device, time()/clock(),
 ///       gettimeofday, and the std::chrono wall/steady clocks are banned
-///       in src/ outside the allowlist (src/obs/ timing, src/snap/
-///       backoff & deadlines, src/util/rng seeding).
+///       in src/ outside the allowlist (src/obs/ timing, src/util/rng
+///       seeding, the src/netio/reactor event loop).
 ///   E1  env hygiene: getenv/setenv/putenv/unsetenv only in
 ///       src/util/env.cpp; everything else goes through util::env.
 ///   L1  logging: std::cout/cerr/clog, printf/puts, and
@@ -33,9 +33,11 @@
 ///   K1  knob registry: every CS_* knob the code references must be
 ///       registered in src/util/knobs.def, every registered knob must
 ///       still be referenced (by name or Knob enum id) and documented
-///       in README.md, and README/DESIGN must not mention unregistered
-///       knobs. #define'd CS_* macros and "CS_FOO_…" prefix mentions
-///       are exempt. (Subsumes the old V1 doc-drift check.)
+///       in README.md's knob table with the registry default copied
+///       verbatim into its default cell, and README/DESIGN must not
+///       mention unregistered knobs. #define'd CS_* macros and
+///       "CS_FOO_…" prefix mentions are exempt. (Subsumes the old V1
+///       doc-drift check.)
 ///   B1  reactor hygiene: no sleep-family calls anywhere in src/netio/,
 ///       and inline lambdas handed to Reactor::add_fd / run_after must
 ///       not take locks or issue blocking syscalls — they run on the
