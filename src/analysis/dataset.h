@@ -160,7 +160,7 @@ class DatasetBuilder {
   };
 
   struct Options {
-    std::vector<std::string> wordlist;  ///< empty = default wordlist
+    std::vector<std::string> wordlist{};  ///< empty = default wordlist
     bool attempt_axfr = true;
     /// Number of vantage points used for the distributed lookups (the
     /// paper used 200) and for NS location probing (50).
@@ -181,7 +181,7 @@ class DatasetBuilder {
     /// core::Study wires this to a "dataset.partial" snapshot so a killed
     /// paper-scale build resumes mid-stage instead of restarting. Null =
     /// no partial checkpoints.
-    std::function<void(const Resume& partial)> on_chunk;
+    std::function<void(const Resume& partial)> on_chunk{};
   };
 
   DatasetBuilder(const synth::World& world, Options options);

@@ -579,18 +579,12 @@ std::string render_data_quality(Study& study) {
   t.add("Unresolved subdomains", dataset.unresolved_subdomain_count());
   t.add("Resolver retries", snapshot.counter("dns.resolver.retries"));
   t.add("Resolver timeouts", snapshot.counter("dns.resolver.timeouts"));
-  // The socket client's degradation ledger: every fast-fail path is a
-  // named row, so an unsurvivable chaos profile (or a genuinely sick
-  // wire) shows up as accounted failure, never silent data loss.
+  // The socket client's degradation ledger: an unsurvivable chaos
+  // profile (or a genuinely sick wire) shows up as accounted expiries,
+  // never silent data loss.
   t.add("Socket retransmits", snapshot.counter("netio.client.retransmits"));
   t.add("Socket exchange expirations",
         snapshot.counter("netio.client.expirations"));
-  t.add("Retry budget rejections",
-        snapshot.counter("netio.client.retry_budget_rejections"));
-  t.add("Circuit breaker trips",
-        snapshot.counter("netio.client.breaker_trips"));
-  t.add("Circuit breaker fast-fails",
-        snapshot.counter("netio.client.breaker_fastfails"));
   t.add("Chaos frames dropped", snapshot.counter("netio.chaos.drops"));
   t.add("Chaos frames duplicated", snapshot.counter("netio.chaos.dups"));
   t.add("Chaos frames corrupted", snapshot.counter("netio.chaos.corrupts"));

@@ -58,7 +58,7 @@ struct StudyConfig {
   /// dataset is byte-identical over either backend at the same seed, so
   /// switching transports must not invalidate snapshots.
   std::optional<netio::TransportMode> transport;
-  /// Socket-backend sizing, resilience thresholds, and chaos profile.
+  /// Socket-backend sizing, retransmit schedule, and chaos profile.
   /// nullopt defers to the CS_NETIO_* / CS_CHAOS knobs; a set value (even
   /// the defaults) overrides the environment entirely, which is how the
   /// chaos determinism tests stay immune to an ambient CS_CHAOS. Excluded

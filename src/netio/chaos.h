@@ -25,10 +25,10 @@
 /// further would-be drops are force-delivered (and counted). Every round
 /// of an exchange that fails consumes at least one unit of budget, and
 /// the client sends up to max_attempts rounds, so a profile without
-/// `corrupt` can never kill an exchange outright — the resilience
-/// machinery (retry budget, circuit breaker) observes pressure but never
-/// a terminal failure, which is exactly what keeps the dataset artifact
-/// invariant. `corrupt` bypasses the clamp by design: a flipped byte can
+/// `corrupt` can never kill an exchange outright — the client's
+/// retransmit schedule absorbs every impairment and never reaches an
+/// expiry, which is exactly what keeps the dataset artifact invariant.
+/// `corrupt` bypasses the clamp by design: a flipped byte can
 /// change answer bytes or kill the frame, so corrupting profiles are
 /// declared unsurvivable and must degrade with exact accounting instead.
 ///

@@ -37,26 +37,16 @@ LoopbackDns::Options LoopbackDns::options_from_env() {
   options.server_threads =
       env_unsigned_knob(util::Knob::kNetioThreads, options.server_threads,
                         "reactor thread count >= 1");
-  options.max_in_flight =
-      env_unsigned_knob(util::Knob::kNetioInflight, options.max_in_flight,
+  auto& client = options.client;
+  client.max_in_flight =
+      env_unsigned_knob(util::Knob::kNetioInflight, client.max_in_flight,
                         "in-flight query cap >= 1");
-  options.rto_us = env_unsigned_knob(
-      util::Knob::kNetioRtoUs, static_cast<unsigned>(options.rto_us),
+  client.rto_us = env_unsigned_knob(
+      util::Knob::kNetioRtoUs, static_cast<unsigned>(client.rto_us),
       "initial retransmit timeout in us >= 1");
-  options.max_attempts =
-      env_unsigned_knob(util::Knob::kNetioMaxAttempts, options.max_attempts,
+  client.max_attempts =
+      env_unsigned_knob(util::Knob::kNetioMaxAttempts, client.max_attempts,
                         "send attempts per exchange >= 1");
-  options.retry_budget_cap = env_unsigned_knob(
-      util::Knob::kNetioRetryBudget,
-      static_cast<unsigned>(options.retry_budget_cap),
-      "retry token bucket capacity >= 1");
-  options.breaker_threshold = env_unsigned_knob(
-      util::Knob::kNetioBreakerFails, options.breaker_threshold,
-      "consecutive expiries to open the breaker >= 1");
-  options.breaker_cooldown_us = env_unsigned_knob(
-      util::Knob::kNetioBreakerCooldownUs,
-      static_cast<unsigned>(options.breaker_cooldown_us),
-      "breaker open->half-open delay in us >= 1");
   options.chaos = chaos_profile_from_env();
   return options;
 }
@@ -66,7 +56,7 @@ LoopbackDns::LoopbackDns(const dns::SimulatedDnsNetwork& network,
     : options_(options),
       chaos_(options.chaos.any()
                  ? std::make_unique<ChaosLink>(options.chaos,
-                                               options.max_attempts)
+                                               options.client.max_attempts)
                  : nullptr),
       server_(network,
               DnsSocketServer::Options{
@@ -80,11 +70,12 @@ LoopbackDns::LoopbackDns(const dns::SimulatedDnsNetwork& network,
                   p.drop, p.dup, p.reorder, p.corrupt, p.delay_us,
                   p.jitter_us, p.seed,
                   p.survivable() ? "survivable" : "UNSURVIVABLE");
-    if (p.survivable() && chaos_->max_latency_us() >= options_.min_rto_us)
+    if (p.survivable() &&
+        chaos_->max_latency_us() >= options_.client.min_rto_us)
       obs::log_warn("netio.chaos",
                     "injected latency (up to {} us) reaches the RTO floor "
                     "({} us); delays will look like loss",
-                    chaos_->max_latency_us(), options_.min_rto_us);
+                    chaos_->max_latency_us(), options_.client.min_rto_us);
   }
 }
 
@@ -93,20 +84,9 @@ LoopbackDns::~LoopbackDns() { stop(); }
 bool LoopbackDns::start() {
   if (running()) return true;
   if (!server_.start()) return false;
-  SocketDnsTransport::Options client;
+  auto client = options_.client;
   client.server_port = server_.port();
-  client.max_in_flight = options_.max_in_flight;
-  client.client_sockets = options_.client_sockets
-                              ? options_.client_sockets
-                              : server_.thread_count();
-  client.rto_us = options_.rto_us;
-  client.max_attempts = options_.max_attempts;
-  client.min_rto_us = options_.min_rto_us;
-  client.max_rto_us = options_.max_rto_us;
-  client.retry_budget_credit = options_.retry_budget_credit;
-  client.retry_budget_cap = options_.retry_budget_cap;
-  client.breaker_threshold = options_.breaker_threshold;
-  client.breaker_cooldown_us = options_.breaker_cooldown_us;
+  client.client_sockets = server_.thread_count();
   client.chaos = chaos_.get();
   transport_ = std::make_unique<SocketDnsTransport>(client);
   if (!transport_->start()) {

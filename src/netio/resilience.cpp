@@ -44,63 +44,4 @@ void RtoEstimator::on_timeout() noexcept {
       options_);
 }
 
-RetryBudget::RetryBudget(Options options) noexcept
-    : options_(options), tokens_(options.max_tokens) {
-  if (options_.max_tokens < 1.0) options_.max_tokens = 1.0;
-  if (options_.credit_per_send < 0.0) options_.credit_per_send = 0.0;
-  tokens_ = options_.max_tokens;
-}
-
-void RetryBudget::on_send() noexcept {
-  tokens_ = std::min(options_.max_tokens, tokens_ + options_.credit_per_send);
-}
-
-bool RetryBudget::try_spend() noexcept {
-  if (tokens_ < 1.0) return false;
-  tokens_ -= 1.0;
-  return true;
-}
-
-CircuitBreaker::CircuitBreaker(Options options) noexcept
-    : options_(options) {
-  if (options_.failure_threshold == 0) options_.failure_threshold = 1;
-}
-
-bool CircuitBreaker::allow(std::uint64_t now_us) noexcept {
-  switch (state_) {
-    case State::kClosed:
-      return true;
-    case State::kOpen:
-      if (now_us - opened_at_us_ < options_.cooldown_us) return false;
-      state_ = State::kHalfOpen;
-      probe_in_flight_ = true;
-      return true;
-    case State::kHalfOpen:
-      if (probe_in_flight_) return false;
-      probe_in_flight_ = true;
-      return true;
-  }
-  return true;
-}
-
-void CircuitBreaker::on_success() noexcept {
-  state_ = State::kClosed;
-  failures_ = 0;
-  probe_in_flight_ = false;
-}
-
-void CircuitBreaker::on_failure(std::uint64_t now_us) noexcept {
-  ++failures_;
-  if (state_ == State::kHalfOpen || failures_ >= options_.failure_threshold) {
-    if (state_ != State::kOpen) ++trips_;
-    state_ = State::kOpen;
-    opened_at_us_ = now_us;
-    probe_in_flight_ = false;
-  }
-}
-
-void CircuitBreaker::on_abandon() noexcept {
-  if (state_ == State::kHalfOpen) probe_in_flight_ = false;
-}
-
 }  // namespace cs::netio

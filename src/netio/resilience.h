@@ -2,27 +2,16 @@
 
 #include <cstdint>
 
-/// The socket client's resilience state machines, each deliberately
-/// clock-free: time is a microsecond value the caller passes in (the
-/// reactor's monotonic now), so every machine is unit-testable with a
-/// scripted timeline and never reads a clock itself.
+/// The socket client's retransmission timer, deliberately clock-free:
+/// RTT samples are microsecond values the caller passes in (measured on
+/// the reactor's monotonic clock), so the estimator is unit-testable with
+/// a scripted timeline and never reads a clock itself.
 ///
-///  - RtoEstimator: RFC 6298 adaptive retransmission timeout. One per
-///    server; SRTT/RTTVAR from clean samples only (Karn's rule — the
-///    transport must not feed RTTs measured on retransmitted exchanges),
-///    exponential backoff on timer expiry, backoff cleared by the next
-///    clean sample.
-///  - RetryBudget: token bucket bounding the global retransmit rate.
-///    First sends earn fractional credit, each retransmit spends one
-///    token; under correlated loss the bucket drains and retransmits are
-///    refused — pressure degrades to fast failure instead of a retry
-///    storm amplifying the congestion that caused it.
-///  - CircuitBreaker: per-server closed -> open -> half-open health
-///    gate. Only silent expiries count as failures: a kUnreachable
-///    answer proves the path works (the server said no), so it feeds
-///    on_success and keeps a down-but-reachable server failing fast via
-///    the unreachable frame, not the breaker — which is what keeps
-///    sim-vs-socket artifacts identical.
+/// RtoEstimator is RFC 6298's adaptive retransmission timeout, one per
+/// server: SRTT/RTTVAR from clean samples only (Karn's rule — the
+/// transport must not feed RTTs measured on retransmitted exchanges),
+/// exponential backoff on timer expiry, backoff cleared by the next clean
+/// sample.
 namespace cs::netio {
 
 /// RFC 6298 with the standard gains (alpha 1/8, beta 1/4, K=4).
@@ -53,72 +42,6 @@ class RtoEstimator {
   double srtt_us_ = 0.0;
   double rttvar_us_ = 0.0;
   std::uint64_t rto_us_ = 0;
-};
-
-/// Token bucket over retransmissions (not first sends).
-class RetryBudget {
- public:
-  struct Options {
-    double credit_per_send = 0.2;  ///< earned by every first transmission
-    double max_tokens = 1000.0;    ///< bucket capacity; starts full
-  };
-
-  explicit RetryBudget(Options options) noexcept;
-
-  /// A first transmission happened; earns credit up to the cap.
-  void on_send() noexcept;
-
-  /// Spends one token for a retransmit; false refuses it (bucket dry).
-  bool try_spend() noexcept;
-
-  double tokens() const noexcept { return tokens_; }
-
- private:
-  Options options_;
-  double tokens_;
-};
-
-/// Consecutive-failure breaker with a single half-open probe.
-class CircuitBreaker {
- public:
-  enum class State : std::uint8_t { kClosed, kOpen, kHalfOpen };
-
-  struct Options {
-    unsigned failure_threshold = 16;  ///< consecutive failures to open
-    std::uint64_t cooldown_us = 250'000;  ///< open -> half-open delay
-  };
-
-  explicit CircuitBreaker(Options options) noexcept;
-
-  /// May a new exchange start now? Closed: yes. Open: no until the
-  /// cooldown elapses, then the breaker half-opens and admits exactly
-  /// one probe. Half-open: only the single probe slot.
-  bool allow(std::uint64_t now_us) noexcept;
-
-  /// A response arrived (including kUnreachable — the path is alive).
-  void on_success() noexcept;
-
-  /// A silent expiry. Opens at the threshold, or instantly re-opens a
-  /// half-open breaker whose probe failed.
-  void on_failure(std::uint64_t now_us) noexcept;
-
-  /// The exchange ended without a verdict on the server (retry budget
-  /// refused, hang guard, shutdown): frees the half-open probe slot so
-  /// the breaker is not wedged waiting on an answer that never comes.
-  void on_abandon() noexcept;
-
-  State state() const noexcept { return state_; }
-  unsigned consecutive_failures() const noexcept { return failures_; }
-  /// Count of transitions into kOpen.
-  std::uint64_t trips() const noexcept { return trips_; }
-
- private:
-  Options options_;
-  State state_ = State::kClosed;
-  unsigned failures_ = 0;
-  std::uint64_t opened_at_us_ = 0;
-  bool probe_in_flight_ = false;
-  std::uint64_t trips_ = 0;
 };
 
 }  // namespace cs::netio

@@ -49,10 +49,7 @@ std::uint64_t jittered_delay(std::uint64_t rto_us, std::uint64_t exchange_key,
 
 }  // namespace
 
-SocketDnsTransport::SocketDnsTransport(Options options)
-    : options_(options),
-      budget_(RetryBudget::Options{options.retry_budget_credit,
-                                   options.retry_budget_cap}) {
+SocketDnsTransport::SocketDnsTransport(Options options) : options_(options) {
   if (options_.max_in_flight == 0) options_.max_in_flight = 1;
   if (options_.max_in_flight > kMuxIds)
     options_.max_in_flight = static_cast<unsigned>(kMuxIds);
@@ -120,46 +117,21 @@ void SocketDnsTransport::stop() {
     std::vector<std::uint16_t> live;
     live.reserve(pending_.size());
     for (const auto& [mux_id, p] : pending_) live.push_back(mux_id);
-    for (const auto mux_id : live) {
-      // No verdict on the server either way; free any half-open probe.
-      server_state_locked(pending_[mux_id]->server.value())
-          .breaker.on_abandon();
-      settle_locked(mux_id, std::nullopt);
-    }
+    for (const auto mux_id : live) settle_locked(mux_id, std::nullopt);
   }
   slot_free_.notify_all();
   reactor_.stop();
   sockets_.clear();
 }
 
-SocketDnsTransport::ServerState& SocketDnsTransport::server_state_locked(
-    std::uint32_t server) {
-  auto it = servers_.find(server);
-  if (it == servers_.end())
-    it = servers_.emplace(server, ServerState{options_}).first;
+RtoEstimator& SocketDnsTransport::rto_locked(std::uint32_t server) {
+  auto it = rto_.find(server);
+  if (it == rto_.end())
+    it = rto_.emplace(server, RtoEstimator::Options{options_.rto_us,
+                                                    options_.min_rto_us,
+                                                    options_.max_rto_us})
+             .first;
   return it->second;
-}
-
-void SocketDnsTransport::breaker_failure_locked(ServerState& state) {
-  static auto& trips = obs::counter("netio.client.breaker_trips");
-  static auto& open_gauge = obs::gauge("netio.client.breakers_open");
-  const bool was_open = state.breaker.state() == CircuitBreaker::State::kOpen;
-  const bool was_tripped =
-      state.breaker.state() != CircuitBreaker::State::kClosed;
-  state.breaker.on_failure(Reactor::now_us());
-  if (!was_open && state.breaker.state() == CircuitBreaker::State::kOpen)
-    trips.inc();
-  if (!was_tripped &&
-      state.breaker.state() != CircuitBreaker::State::kClosed)
-    open_gauge.set(++breakers_open_);
-}
-
-void SocketDnsTransport::breaker_success_locked(ServerState& state) {
-  static auto& open_gauge = obs::gauge("netio.client.breakers_open");
-  const bool was_tripped =
-      state.breaker.state() != CircuitBreaker::State::kClosed;
-  state.breaker.on_success();
-  if (was_tripped && breakers_open_ > 0) open_gauge.set(--breakers_open_);
 }
 
 void SocketDnsTransport::send_query_locked(Pending& p) {
@@ -200,9 +172,7 @@ void SocketDnsTransport::send_query_locked(Pending& p) {
 std::optional<std::vector<std::uint8_t>> SocketDnsTransport::exchange(
     net::Ipv4 client, net::Ipv4 server, std::span<const std::uint8_t> query) {
   static auto& exchanges = obs::counter("netio.client.exchanges");
-  static auto& fastfails = obs::counter("netio.client.breaker_fastfails");
   static auto& in_flight_gauge = obs::gauge("netio.client.in_flight");
-  static auto& budget_gauge = obs::gauge("netio.client.retry_budget_tokens");
   static auto& guard_trips = obs::counter("netio.client.hang_guard_trips");
 
   std::shared_ptr<Pending> p;
@@ -215,14 +185,6 @@ std::optional<std::vector<std::uint8_t>> SocketDnsTransport::exchange(
       slot_free_.wait(mutex_);
     if (!running_.load(std::memory_order_relaxed)) return std::nullopt;
     exchanges.inc();
-    // Fail fast while the server's breaker is open: no slot, no send, no
-    // retransmit schedule — the caller sees the same nullopt a timeout
-    // would produce, a few RTOs sooner and without wire pressure.
-    if (!server_state_locked(server.value())
-             .breaker.allow(Reactor::now_us())) {
-      fastfails.inc();
-      return std::nullopt;
-    }
     ++in_flight_;
     in_flight_gauge.set(in_flight_);
     mux_id = free_ids_.front();
@@ -244,11 +206,8 @@ std::optional<std::vector<std::uint8_t>> SocketDnsTransport::exchange(
     p->attempts = 1;
     pending_.emplace(mux_id, p);
 
-    auto& state = server_state_locked(server.value());
-    const auto rto_us = state.rto.rto_us();
+    const auto rto_us = rto_locked(server.value()).rto_us();
     rto_histogram().observe(static_cast<double>(rto_us));
-    budget_.on_send();
-    budget_gauge.set(static_cast<std::int64_t>(budget_.tokens()));
     send_query_locked(*p);
     p->timer = reactor_.run_after(
         rto_us, [this, mux_id] { on_retransmit_deadline(mux_id); });
@@ -278,8 +237,6 @@ std::optional<std::vector<std::uint8_t>> SocketDnsTransport::exchange(
       guard_trips.inc();
       obs::log_warn("netio.client",
                     "exchange hang guard tripped (mux id {})", mux_id);
-      // A wedged exchange says nothing about the server; free the probe.
-      server_state_locked(p->server.value()).breaker.on_abandon();
       settle_locked(mux_id, std::nullopt);
     }
   }
@@ -320,12 +277,10 @@ void SocketDnsTransport::on_frame(std::span<const std::uint8_t> datagram) {
     strays.inc();
     return;
   }
-  auto& state = server_state_locked(it->second->server.value());
   if (frame->kind == FrameKind::kUnreachable) {
+    // The path answered — the *server* is down, exactly as the sim
+    // backend reports a set_down server.
     unreachable.inc();
-    // The path answered — the *server* is down. Breaker success keeps
-    // set_down semantics identical between the sim and socket backends.
-    breaker_success_locked(state);
     settle_locked(*mux_id, std::nullopt);
     return;
   }
@@ -333,8 +288,8 @@ void SocketDnsTransport::on_frame(std::span<const std::uint8_t> datagram) {
   // Karn's rule: only a never-retransmitted exchange yields a clean RTT
   // sample (a retransmitted one cannot tell which send was answered).
   if (!it->second->retransmitted)
-    state.rto.observe_rtt(Reactor::now_us() - it->second->sent_us);
-  breaker_success_locked(state);
+    rto_locked(it->second->server.value())
+        .observe_rtt(Reactor::now_us() - it->second->sent_us);
   std::vector<std::uint8_t> bytes{frame->payload.begin(),
                                   frame->payload.end()};
   // Hand the resolver back its own DNS ID; the mux ID was transport-local.
@@ -345,35 +300,20 @@ void SocketDnsTransport::on_frame(std::span<const std::uint8_t> datagram) {
 void SocketDnsTransport::on_retransmit_deadline(std::uint16_t mux_id) {
   static auto& retransmits = obs::counter("netio.client.retransmits");
   static auto& expirations = obs::counter("netio.client.expirations");
-  static auto& rejections = obs::counter("netio.client.retry_budget_rejections");
-  static auto& budget_gauge = obs::gauge("netio.client.retry_budget_tokens");
 
   util::LockGuard lock{mutex_};
   const auto it = pending_.find(mux_id);
   if (it == pending_.end()) return;  // settled while the timer fired
   auto& p = *it->second;
-  auto& state = server_state_locked(p.server.value());
+  auto& rto = rto_locked(p.server.value());
   // Karn backoff: every expiry doubles this server's RTO (capped); the
   // next clean sample resets it.
-  state.rto.on_timeout();
+  rto.on_timeout();
   if (p.attempts >= options_.max_attempts) {
     expirations.inc();
-    breaker_failure_locked(state);
     settle_locked(mux_id, std::nullopt);
     return;
   }
-  if (!budget_.try_spend()) {
-    // Correlated loss has drained the retry budget: refuse the retransmit
-    // and fail the exchange now — a storm of retries into a lossy path
-    // only feeds the loss. Counted, and no server verdict (the breaker
-    // only trusts full expiries).
-    rejections.inc();
-    budget_gauge.set(static_cast<std::int64_t>(budget_.tokens()));
-    state.breaker.on_abandon();
-    settle_locked(mux_id, std::nullopt);
-    return;
-  }
-  budget_gauge.set(static_cast<std::int64_t>(budget_.tokens()));
   ++p.attempts;
   p.retransmitted = true;
   retransmits.inc();
@@ -381,7 +321,7 @@ void SocketDnsTransport::on_retransmit_deadline(std::uint16_t mux_id) {
   // decision, so an injected loss stays lost across every attempt.
   send_query_locked(p);
   const auto delay_us =
-      jittered_delay(state.rto.rto_us(), p.exchange_key, p.attempts);
+      jittered_delay(rto.rto_us(), p.exchange_key, p.attempts);
   rto_histogram().observe(static_cast<double>(delay_us));
   p.timer = reactor_.run_after(
       delay_us, [this, mux_id] { on_retransmit_deadline(mux_id); });

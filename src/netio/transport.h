@@ -31,19 +31,20 @@
 /// misdelivered — the slot also pins the expected server address).
 ///
 /// Loss recovery is adaptive (resilience.h): each server gets an RFC 6298
-/// RTO estimator fed only by clean samples (Karn's rule), retransmits
+/// RTO estimator fed only by clean samples (Karn's rule), and retransmits
 /// back off exponentially with deterministic decorrelated jitter keyed by
-/// the exchange, a global token-bucket retry budget refuses retransmits
-/// under correlated loss, and a per-server circuit breaker fails new
-/// exchanges fast once a server has expired enough exchanges in a row.
-/// Every fast-fail path is a named counter surfaced in the data-quality
-/// report — degradation is accounted, never silent. A kUnreachable
-/// control frame from the server settles the exchange immediately and
-/// counts as breaker *success*: the path answered, the server said no.
+/// the exchange. Every exchange runs its full retransmit schedule; the
+/// client keeps no other per-server state that could fail one early, so
+/// whether a query is answered never depends on wall-clock timing. A
+/// kUnreachable control frame from the server settles the exchange
+/// immediately: the path answered, the server said no. Every exchange
+/// settles as exactly one named counter (response, unreachable,
+/// expiration, hang-guard trip) surfaced in the data-quality report.
 ///
 /// Backpressure: at most max_in_flight exchanges may hold the wire; the
 /// next caller blocks until a slot frees, bounding socket-buffer pressure
-/// no matter how many resolver threads pile on.
+/// no matter how many resolver threads pile on. Together with
+/// max_attempts it also bounds how far retransmits can multiply the load.
 ///
 /// When a ChaosLink is installed (chaos.h) every outgoing datagram takes
 /// a seeded impairment verdict first; without one the cost is a single
@@ -60,10 +61,6 @@ class SocketDnsTransport final : public dns::DnsTransport {
     unsigned max_attempts = 3;        ///< CS_NETIO_MAX_ATTEMPTS
     std::uint64_t min_rto_us = 5'000;     ///< adaptive-RTO floor
     std::uint64_t max_rto_us = 2'000'000;  ///< adaptive-RTO + backoff cap
-    double retry_budget_credit = 0.2;  ///< earned per first send
-    double retry_budget_cap = 1000.0;  ///< CS_NETIO_RETRY_BUDGET
-    unsigned breaker_threshold = 16;   ///< CS_NETIO_BREAKER_FAILS
-    std::uint64_t breaker_cooldown_us = 250'000;  ///< open -> half-open
     ChaosLink* chaos = nullptr;  ///< non-owning; shared with the server
   };
 
@@ -110,17 +107,6 @@ class SocketDnsTransport final : public dns::DnsTransport {
     bool retransmitted = false;
   };
 
-  /// Per-server adaptive state, keyed by the simulated server address.
-  struct ServerState {
-    RtoEstimator rto;
-    CircuitBreaker breaker;
-    explicit ServerState(const Options& options)
-        : rto(RtoEstimator::Options{options.rto_us, options.min_rto_us,
-                                    options.max_rto_us}),
-          breaker(CircuitBreaker::Options{options.breaker_threshold,
-                                          options.breaker_cooldown_us}) {}
-  };
-
   void drain(std::size_t socket_index);
   void on_frame(std::span<const std::uint8_t> datagram) CS_EXCLUDES(mutex_);
   void on_retransmit_deadline(std::uint16_t mux_id) CS_EXCLUDES(mutex_);
@@ -130,10 +116,8 @@ class SocketDnsTransport final : public dns::DnsTransport {
       CS_REQUIRES(mutex_);
   /// Sends (or chaos-impairs) one copy of the pending query's datagram.
   void send_query_locked(Pending& p) CS_REQUIRES(mutex_);
-  ServerState& server_state_locked(std::uint32_t server) CS_REQUIRES(mutex_);
-  /// Breaker failure with trip/open accounting.
-  void breaker_failure_locked(ServerState& state) CS_REQUIRES(mutex_);
-  void breaker_success_locked(ServerState& state) CS_REQUIRES(mutex_);
+  /// The server's RTO estimator, created on first contact.
+  RtoEstimator& rto_locked(std::uint32_t server) CS_REQUIRES(mutex_);
 
   Options options_;
   Reactor reactor_{"netio-client"};
@@ -148,11 +132,10 @@ class SocketDnsTransport final : public dns::DnsTransport {
   std::deque<std::uint16_t> free_ids_ CS_GUARDED_BY(mutex_);
   std::unordered_map<std::uint16_t, std::shared_ptr<Pending>> pending_
       CS_GUARDED_BY(mutex_);
-  std::unordered_map<std::uint32_t, ServerState> servers_
+  /// Keyed by the simulated server address.
+  std::unordered_map<std::uint32_t, RtoEstimator> rto_
       CS_GUARDED_BY(mutex_);
-  RetryBudget budget_ CS_GUARDED_BY(mutex_);
   unsigned in_flight_ CS_GUARDED_BY(mutex_) = 0;
-  unsigned breakers_open_ CS_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace cs::netio

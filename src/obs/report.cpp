@@ -147,8 +147,8 @@ std::string RunReport::to_json() const {
   }
   // The socket client's resilience behaviour rides the perf manifests so
   // a trajectory regression can be told apart from a wire that got sick:
-  // retransmit/expiry volume, breaker and budget activity, and the
-  // adaptive RTO's percentiles.
+  // retransmit/expiry volume, chaos impairments, and the adaptive RTO's
+  // percentiles.
   {
     double rto_p50 = 0.0;
     double rto_p99 = 0.0;
@@ -161,16 +161,12 @@ std::string RunReport::to_json() const {
       }
     out += util::fmt(
         ",\n  \"resilience\": {{\"retransmits\": {}, \"expirations\": {}, "
-        "\"breaker_trips\": {}, \"breaker_fastfails\": {}, "
-        "\"retry_budget_rejections\": {}, \"chaos_drops\": {}, "
+        "\"chaos_drops\": {}, "
         "\"chaos_dups\": {}, \"chaos_corrupts\": {}, "
         "\"chaos_forced_deliveries\": {}, "
         "\"rto_us\": {{\"count\": {}, \"p50\": {:.3f}, \"p99\": {:.3f}}}}}",
         metrics.counter("netio.client.retransmits"),
         metrics.counter("netio.client.expirations"),
-        metrics.counter("netio.client.breaker_trips"),
-        metrics.counter("netio.client.breaker_fastfails"),
-        metrics.counter("netio.client.retry_budget_rejections"),
         metrics.counter("netio.chaos.drops"),
         metrics.counter("netio.chaos.dups"),
         metrics.counter("netio.chaos.corrupts"),

@@ -3,15 +3,14 @@
 // Survivable profiles (loss/dup/reorder/delay, no corruption): the drop
 // clamp guarantees every exchange still completes with unchanged answer
 // bytes, so a study's dataset artifact is byte-identical chaos-on vs
-// chaos-off at any CS_THREADS — the resilience machinery absorbs the
+// chaos-off at any CS_THREADS — the retransmit schedule absorbs the
 // pressure without ever reaching a terminal state. Checked against the
 // sim artifact (which the socket determinism test already pins equal to
 // the chaos-off socket artifact), two seeds x CS_THREADS {1, 8}.
 //
 // Unsurvivable profiles (corrupt > 0): the run must degrade gracefully —
-// complete without hangs, with every failed exchange accounted to
-// exactly one cause. Exercised twice, once tuned to trip the circuit
-// breaker and once to exhaust the retry budget.
+// complete without hangs, with every exchange settled by exactly one
+// cause. Exercised at two seeds.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -44,7 +43,8 @@ StudyConfig small_config(std::uint64_t seed, netio::TransportMode mode) {
 /// impairment across a 60-domain study.
 netio::LoopbackDns::Options survivable_chaos() {
   netio::LoopbackDns::Options options;
-  options.rto_us = 20'000;  // adaptive band [5ms, 2s] brackets this
+  // The adaptive band [5ms, 2s] brackets this.
+  options.client.rto_us = 20'000;
   options.chaos.drop = 0.06;
   options.chaos.dup = 0.05;
   options.chaos.reorder = 0.08;
@@ -95,8 +95,6 @@ TEST_P(ChaosDeterminism, SurvivableProfileKeepsArtifactByteIdentical) {
     // ...yet no exchange ever reached a terminal resilience state: the
     // clamp turns every impairment into pressure, never failure.
     EXPECT_EQ(impairments("netio.client.expirations"), 0u);
-    EXPECT_EQ(impairments("netio.client.breaker_fastfails"), 0u);
-    EXPECT_EQ(impairments("netio.client.retry_budget_rejections"), 0u);
     EXPECT_EQ(impairments("netio.client.hang_guard_trips"), 0u);
     EXPECT_EQ(impairments("netio.chaos.corrupts"), 0u);
   }
@@ -119,83 +117,48 @@ StudyConfig tiny_config(std::uint64_t seed) {
 
 /// corrupt=1 flips one bit in every datagram, both directions: answers
 /// die in flight (bad frame, bad mux ID, undecodable DNS bytes), and the
-/// resilience machinery must carry the run to completion.
+/// retransmit schedule must carry the run to completion.
 netio::LoopbackDns::Options corrupting_chaos() {
   netio::LoopbackDns::Options options;
-  options.rto_us = 5'000;
-  options.max_rto_us = 20'000;  // keep the backoff schedule test-sized
+  options.client.rto_us = 5'000;
+  options.client.max_rto_us = 20'000;  // keeps the backoff test-sized
   options.chaos.corrupt = 1.0;
   return options;
 }
 
-/// Every settled exchange has exactly one cause; the sum of causes is
-/// the number of exchanges started. This is the exact-accounting
-/// invariant render_data_quality reports against.
-void expect_exact_accounting(const obs::MetricsSnapshot& before,
-                             const obs::MetricsSnapshot& after) {
+class ChaosDegradation : public testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ChaosDegradation, CorruptingWireCompletesWithExactAccounting) {
+  auto config = tiny_config(GetParam());
+  config.netio = corrupting_chaos();
+
+  const auto before = obs::MetricsRegistry::instance().snapshot();
+  const auto bytes = dataset_bytes(std::move(config), 8);
+  const auto after = obs::MetricsRegistry::instance().snapshot();
   const auto delta = [&](const char* name) {
     return after.counter(name) - before.counter(name);
   };
+
+  EXPECT_FALSE(bytes.empty()) << "degraded run still produces an artifact";
+  // Every exchange settles by exactly one cause; the sum of causes is
+  // the number of exchanges started. This is the exact-accounting
+  // invariant render_data_quality reports against.
   EXPECT_EQ(delta("netio.client.exchanges"),
             delta("netio.client.responses") +
                 delta("netio.client.unreachable") +
                 delta("netio.client.expirations") +
-                delta("netio.client.retry_budget_rejections") +
-                delta("netio.client.breaker_fastfails") +
                 delta("netio.client.hang_guard_trips"));
   EXPECT_GT(delta("netio.chaos.corrupts"), 0u);
+  EXPECT_GT(delta("netio.client.expirations"), 0u);
   EXPECT_EQ(delta("netio.client.hang_guard_trips"), 0u) << "run hung";
 }
 
-TEST(ChaosDegradation, CorruptingWireTripsBreakersAndStillCompletes) {
-  auto config = tiny_config(911);
-  config.netio = corrupting_chaos();
-  // A hair-trigger breaker with an hour-long cooldown: one silent expiry
-  // opens a server's breaker and everything else to it fast-fails — the
-  // run finishes on fast failures, not timeouts. Threshold 1 because a
-  // corrupted response whose flipped bit lands past the mux ID still
-  // settles as a transport success and resets a longer consecutive-failure
-  // count, making any threshold > 1 scheduling-dependent.
-  config.netio->breaker_threshold = 1;
-  config.netio->breaker_cooldown_us = 3'600'000'000ULL;
-
-  const auto before = obs::MetricsRegistry::instance().snapshot();
-  const auto bytes = dataset_bytes(std::move(config), 8);
-  const auto after = obs::MetricsRegistry::instance().snapshot();
-
-  EXPECT_FALSE(bytes.empty()) << "degraded run still produces an artifact";
-  expect_exact_accounting(before, after);
-  EXPECT_GT(after.counter("netio.client.expirations") -
-                before.counter("netio.client.expirations"),
-            0u);
-  EXPECT_GT(after.counter("netio.client.breaker_trips") -
-                before.counter("netio.client.breaker_trips"),
-            0u);
-  EXPECT_GT(after.counter("netio.client.breaker_fastfails") -
-                before.counter("netio.client.breaker_fastfails"),
-            0u);
-}
-
-TEST(ChaosDegradation, CorruptingWireExhaustsRetryBudgetAndStillCompletes) {
-  auto config = tiny_config(912);
-  config.netio = corrupting_chaos();
-  // No breaker (threshold out of reach), a five-token budget that never
-  // refills: once it drains, every exchange fails at its first deadline
-  // with a budget rejection instead of feeding a retry storm.
-  config.netio->breaker_threshold = 1'000'000;
-  config.netio->retry_budget_credit = 0.0;
-  config.netio->retry_budget_cap = 5.0;
-
-  const auto before = obs::MetricsRegistry::instance().snapshot();
-  const auto bytes = dataset_bytes(std::move(config), 8);
-  const auto after = obs::MetricsRegistry::instance().snapshot();
-
-  EXPECT_FALSE(bytes.empty()) << "degraded run still produces an artifact";
-  expect_exact_accounting(before, after);
-  EXPECT_GT(after.counter("netio.client.retry_budget_rejections") -
-                before.counter("netio.client.retry_budget_rejections"),
-            0u);
-}
+// Named by world seed, so each run reports under its own case name.
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, ChaosDegradation, testing::Values(911u, 912u),
+    [](const testing::TestParamInfo<std::uint64_t>& info) {
+      return std::to_string(info.param);
+    });
 
 }  // namespace
 }  // namespace cs::core

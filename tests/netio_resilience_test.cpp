@@ -1,9 +1,7 @@
-// The socket client's resilience state machines, exercised as pure
-// units: RFC 6298 RTO estimation (including Karn's rule and backoff),
-// the retransmit token bucket, the per-server circuit breaker's full
-// closed -> open -> half-open cycle, and the chaos profile/link — every
-// test deterministic, clock-free, and sleep-free (time is a scripted
-// microsecond value).
+// The socket client's clock-free pieces, exercised as pure units: RFC
+// 6298 RTO estimation (including Karn's rule and backoff) and the chaos
+// profile/link — every test deterministic and sleep-free (time is a
+// scripted microsecond value).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -102,104 +100,6 @@ TEST(RtoEstimator, KarnExclusionKeepsAmbiguousSamplesOut) {
   poisoned.observe_rtt(clean_rto + 200'000);
   EXPECT_EQ(excluded.rto_us(), clean_rto);
   EXPECT_GT(poisoned.rto_us(), clean_rto);
-}
-
-// --- RetryBudget ----------------------------------------------------------
-
-TEST(RetryBudget, StartsFullAndRefusesWhenDry) {
-  RetryBudget budget{RetryBudget::Options{0.0, 3.0}};
-  EXPECT_DOUBLE_EQ(budget.tokens(), 3.0);
-  EXPECT_TRUE(budget.try_spend());
-  EXPECT_TRUE(budget.try_spend());
-  EXPECT_TRUE(budget.try_spend());
-  EXPECT_FALSE(budget.try_spend());  // dry: refuse, don't go negative
-  EXPECT_FALSE(budget.try_spend());
-  EXPECT_DOUBLE_EQ(budget.tokens(), 0.0);
-}
-
-TEST(RetryBudget, FirstSendsEarnFractionalCreditUpToCap) {
-  RetryBudget budget{RetryBudget::Options{0.25, 2.0}};
-  EXPECT_TRUE(budget.try_spend());
-  EXPECT_TRUE(budget.try_spend());
-  EXPECT_FALSE(budget.try_spend());  // the two-token bucket is dry
-  // Four first sends earn exactly one retransmit back.
-  for (int i = 0; i < 3; ++i) {
-    budget.on_send();
-    EXPECT_FALSE(budget.try_spend());
-  }
-  budget.on_send();
-  EXPECT_TRUE(budget.try_spend());
-  // And the cap holds: no amount of sending banks more than max_tokens.
-  for (int i = 0; i < 100; ++i) budget.on_send();
-  EXPECT_DOUBLE_EQ(budget.tokens(), 2.0);
-}
-
-// --- CircuitBreaker -------------------------------------------------------
-
-CircuitBreaker::Options quick_breaker() {
-  CircuitBreaker::Options options;
-  options.failure_threshold = 3;
-  options.cooldown_us = 1'000;
-  return options;
-}
-
-TEST(CircuitBreaker, OpensAtThresholdAndFailsFastUntilCooldown) {
-  CircuitBreaker breaker{quick_breaker()};
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  EXPECT_TRUE(breaker.allow(0));
-  breaker.on_failure(10);
-  breaker.on_failure(20);
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  EXPECT_TRUE(breaker.allow(30));  // below threshold: still admitting
-  breaker.on_failure(30);
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(breaker.trips(), 1u);
-  EXPECT_FALSE(breaker.allow(31));
-  EXPECT_FALSE(breaker.allow(1'029));  // cooldown measured from the trip
-}
-
-TEST(CircuitBreaker, HalfOpenAdmitsExactlyOneProbeThenCloses) {
-  CircuitBreaker breaker{quick_breaker()};
-  for (int i = 0; i < 3; ++i) breaker.on_failure(100);
-  EXPECT_TRUE(breaker.allow(1'200));  // cooldown elapsed: the probe
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
-  EXPECT_FALSE(breaker.allow(1'201));  // probe slot is single-occupancy
-  breaker.on_success();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  EXPECT_EQ(breaker.consecutive_failures(), 0u);
-  EXPECT_TRUE(breaker.allow(1'202));
-}
-
-TEST(CircuitBreaker, FailedProbeReopensImmediately) {
-  CircuitBreaker breaker{quick_breaker()};
-  for (int i = 0; i < 3; ++i) breaker.on_failure(100);
-  EXPECT_TRUE(breaker.allow(1'200));
-  // One failure re-opens a half-open breaker — no fresh threshold count.
-  breaker.on_failure(1'300);
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_EQ(breaker.trips(), 2u);
-  EXPECT_FALSE(breaker.allow(1'301));
-  // And the new cooldown is measured from the re-open.
-  EXPECT_FALSE(breaker.allow(2'200));
-  EXPECT_TRUE(breaker.allow(2'400));
-}
-
-TEST(CircuitBreaker, AbandonFreesTheProbeSlotWithoutVerdict) {
-  CircuitBreaker breaker{quick_breaker()};
-  for (int i = 0; i < 3; ++i) breaker.on_failure(100);
-  EXPECT_TRUE(breaker.allow(1'200));
-  EXPECT_FALSE(breaker.allow(1'201));
-  // The probe ended with no verdict (budget refusal, shutdown): the slot
-  // frees so the breaker is not wedged awaiting an answer that never
-  // comes — but the breaker stays half-open, not closed.
-  breaker.on_abandon();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kHalfOpen);
-  EXPECT_TRUE(breaker.allow(1'202));
-  // on_abandon in other states is a no-op.
-  breaker.on_success();
-  breaker.on_abandon();
-  EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
-  EXPECT_TRUE(breaker.allow(1'203));
 }
 
 // --- ChaosProfile parsing -------------------------------------------------

@@ -317,9 +317,9 @@ class SocketBackendTest : public ::testing::Test {
   LoopbackDns::Options tight_options() {
     LoopbackDns::Options options;
     options.server_threads = 2;
-    options.max_in_flight = 8;
-    options.rto_us = 20'000;
-    options.max_attempts = 3;
+    options.client.max_in_flight = 8;
+    options.client.rto_us = 20'000;
+    options.client.max_attempts = 3;
     return options;
   }
 
@@ -365,15 +365,17 @@ TEST_F(SocketBackendTest, DownServerFailsFastAsUnreachable) {
 
 TEST_F(SocketBackendTest, InjectedLossExpiresAfterRetransmits) {
   auto options = tight_options();
-  options.rto_us = 2'000;  // keep attempts * rto tiny
+  options.client.rto_us = 2'000;  // keep attempts * rto tiny
+  // Declared before the loopback so the plan outlives the server threads
+  // that read it: nothing orders their last read before the client's
+  // expiry, so the plan is switched off below, not destroyed mid-run.
+  fault::ScopedPlan plan{"loss=1"};
   LoopbackDns loopback{network, options};
   ASSERT_TRUE(loopback.start());
   const auto snapshot_before = obs::MetricsRegistry::instance().snapshot();
-  {
-    fault::ScopedPlan plan{"loss=1"};
-    EXPECT_FALSE(
-        loopback.transport().exchange(kClient, kRoot, query_bytes(10)));
-  }
+  EXPECT_FALSE(
+      loopback.transport().exchange(kClient, kRoot, query_bytes(10)));
+  fault::set_plan(nullptr);
   const auto snapshot = obs::MetricsRegistry::instance().snapshot();
   // All three attempts reached the server (loss re-decided identically),
   // the client retransmitted twice, then the exchange expired.
@@ -389,7 +391,7 @@ TEST_F(SocketBackendTest, InjectedLossExpiresAfterRetransmits) {
 
 TEST_F(SocketBackendTest, PipelinedExchangesUnderTinyInFlightCap) {
   auto options = tight_options();
-  options.max_in_flight = 2;  // force backpressure
+  options.client.max_in_flight = 2;  // force backpressure
   LoopbackDns loopback{network, options};
   ASSERT_TRUE(loopback.start());
   const auto expected = network.exchange(kClient, kRoot, query_bytes(0));
@@ -549,7 +551,7 @@ TEST_F(SocketBackendTest, ChaosDropClampForcesEventualDelivery) {
   // force-delivers: the final attempt must get through and the answer
   // must be byte-identical to the sim — the survivability contract.
   auto options = tight_options();
-  options.rto_us = 2'000;  // keep the forced retransmit schedule quick
+  options.client.rto_us = 2'000;  // keep the forced retransmits quick
   options.chaos.drop = 1.0;
   LoopbackDns loopback{network, options};
   ASSERT_TRUE(loopback.start());
@@ -589,7 +591,7 @@ TEST_F(SocketBackendTest, RunningFlagGatesExchangeAcrossTheLifecycle) {
 
 TEST_F(SocketBackendTest, StopFailsPendingExchangesInsteadOfHanging) {
   auto options = tight_options();
-  options.rto_us = 500'000;  // long enough that stop() races the wait
+  options.client.rto_us = 500'000;  // long enough that stop() races the wait
   LoopbackDns loopback{network, options};
   ASSERT_TRUE(loopback.start());
   fault::ScopedPlan plan{"loss=1"};  // exchange would otherwise block
